@@ -13,34 +13,25 @@ from .forest import (
     BinaryTrainingSet,
     ForestConfig,
     ForestModel,
-    best_split,
-    gini_impurity,
-    predict_probability,
     predict_probability_batch,
     train_forest,
 )
-from .noise import CorruptionSpec, corrupt_labels, corrupt_labels_with_mask, expected_noise_fraction
+from .noise import CorruptionSpec, corrupt_labels
 from .conformal import (
     BcopsModel,
-    PredictionSet,
     conformal_p_value,
     conformal_p_values,
     fit_bcops,
     predict_all,
-    predict_set,
 )
 from .metrics import (
     ABSTENTION_RATE,
     CLASS_COVERAGE,
     MEAN_COVERAGE,
-    EvaluationFrame,
     MetricRecord,
     SummaryRow,
-    abstention_rate,
     aggregate,
-    class_coverage,
     evaluate,
-    mean_coverage,
 )
 from .datagen import gen_example1_test, gen_example1_train, gen_example2
 from .mnist import IdxFormatError, MnistSource, RawDigitDataset, filter_digits, load_mnist

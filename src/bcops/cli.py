@@ -14,7 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .metrics import ABSTENTION_RATE, CLASS_COVERAGE, MEAN_COVERAGE, METRIC_NAMES
+from . import datagen
+from .metrics import METRIC_NAMES
 from .svgplot import render_lineplot
 from .sweep import (
     ExperimentConfig,
@@ -88,15 +89,17 @@ def _cmd_validate(args) -> int:
     config = _load_config(args.config)
     if config.experiment == "mnist":
         ctx = prepare_mnist(config.mnist_paths)
-        print(
-            f"config ok: experiment=mnist, train rows={ctx.train.n_rows} "
-            f"(digits 0-5), test rows={ctx.test.n_rows}"
-        )
+        n_features = ctx.train.features.shape[1]
+        detail = f"train rows={ctx.train.n_rows} (digits 0-5), test rows={ctx.test.n_rows}"
     else:
-        print(
-            f"config ok: experiment={config.experiment}, "
-            f"phi levels={len(config.phi_grid)}, repetitions={config.resolved_repetitions}"
+        n_features = datagen._P
+        detail = f"phi levels={len(config.phi_grid)}, repetitions={config.resolved_repetitions}"
+    if config.forest.mtry is not None and config.forest.mtry > n_features:
+        raise ValueError(
+            f"forest.mtry={config.forest.mtry} exceeds the {n_features} features "
+            f"of experiment {config.experiment}"
         )
+    print(f"config ok: experiment={config.experiment}, {detail}")
     return 0
 
 
@@ -141,3 +144,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

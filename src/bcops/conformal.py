@@ -17,30 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import LabeledDataset, RngStream, UnlabeledDataset, split_in_two
-from .forest import (
-    BinaryTrainingSet,
-    ForestConfig,
-    ForestModel,
-    predict_probability_batch,
-    train_forest,
-)
-
-
-@dataclass(frozen=True)
-class PredictionSet:
-    """Subset of the K training classes assigned to one test point.
-
-    The empty set is meaningful: the model abstains from predicting.
-    """
-
-    members: frozenset
-
-    @property
-    def is_abstention(self) -> bool:
-        return not self.members
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.members
+from .forest import BinaryTrainingSet, ForestConfig, predict_probability_batch, train_forest
 
 
 @dataclass(frozen=True)
@@ -56,17 +33,15 @@ class BcopsModel:
     warnings: tuple
 
 
-def conformal_p_value(score: float, calibration) -> float:
-    """(1 + #{c in calibration : c <= score}) / (|calibration| + 1).
+def conformal_p_value(scores, calibration):
+    """(1 + #{c in calibration : c <= s}) / (|calibration| + 1) for each score s.
 
+    ``scores`` is a scalar or an array; ``calibration`` must be ascending.
     Weak inequality keeps ties conservative. An empty calibration list
     yields 1 (fail-open: the class is always included).
     """
     calibration = np.asarray(calibration, dtype=np.float64)
-    n = calibration.size
-    if n == 0:
-        return 1.0
-    return float(1 + np.searchsorted(calibration, score, side="right")) / (n + 1)
+    return (1 + np.searchsorted(calibration, scores, side="right")) / (calibration.size + 1)
 
 
 def fit_bcops(
@@ -80,10 +55,13 @@ def fit_bcops(
     """Fit the transductive BCOPS model on a train/test pair.
 
     imbalance_cap bounds |test fold| / |class-k fold rows| in each binary
-    training set; larger test folds are subsampled without replacement.
+    training set; larger test folds are subsampled without replacement,
+    keeping at least one row.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if not imbalance_cap > 0:
+        raise ValueError("imbalance_cap must be > 0")
     if test.n_rows == 0:
         raise ValueError("test set must be non-empty")
     k_count = train.class_count
@@ -108,27 +86,19 @@ def fit_bcops(
             cell_rng = rng.derive(10 * k + f)
             own = train_folds[f][train.labels[train_folds[f]] == k]
             opp = train_folds[3 - f][train.labels[train_folds[3 - f]] == k]
-            if own.size == 0:
+            tf = test_folds[f]
+            if own.size == 0 or tf.size == 0:
+                reason = (f"class {k} absent from training fold {f}" if own.size == 0
+                          else f"empty test fold {f}")
+                warnings.append(f"{reason}; p-values for (class {k}, fold {f}) fixed at 1")
                 classifiers[(k, f)] = None
                 calibration[(k, f)] = np.empty(0)
-                warnings.append(
-                    f"class {k} absent from training fold {f}; "
-                    f"p-values for (class {k}, fold {f}) fixed at 1"
-                )
                 continue
 
-            tf = test_folds[f]
-            cap = int(imbalance_cap * own.size)
-            if tf.size > cap > 0:
+            cap = max(1, int(imbalance_cap * own.size))
+            if tf.size > cap:
                 g = cell_rng.derive(1).generator()
                 tf = np.sort(g.choice(tf, size=cap, replace=False))
-            if tf.size == 0:
-                classifiers[(k, f)] = None
-                calibration[(k, f)] = np.empty(0)
-                warnings.append(
-                    f"empty test fold {f}; p-values for (class {k}, fold {f}) fixed at 1"
-                )
-                continue
 
             binary = BinaryTrainingSet(
                 np.vstack([train.features[own], test.features[tf]]),
@@ -137,15 +107,13 @@ def fit_bcops(
             model = train_forest(binary, replace(forest_config, seed_stream=cell_rng.derive(2)))
             classifiers[(k, f)] = model
 
-            if opp.size:
-                cal = predict_probability_batch(model, train.features[opp])
-            else:
+            if not opp.size:
                 # fall back to in-sample rows rather than silently under-cover
-                cal = predict_probability_batch(model, train.features[own])
                 warnings.append(
                     f"class {k} absent from training fold {3 - f}; "
                     f"calibrating (class {k}, fold {f}) on its own fold"
                 )
+            cal = predict_probability_batch(model, train.features[opp if opp.size else own])
             calibration[(k, f)] = np.sort(cal)
 
     return BcopsModel(
@@ -164,51 +132,23 @@ def conformal_p_values(model: BcopsModel) -> np.ndarray:
 
     A row in test fold t is scored by the model of training fold 3-t.
     """
-    m = model.test_features.shape[0]
-    pv = np.ones((m, model.class_count))
+    pv = np.ones((model.fold_assignment.size, model.class_count))
     for tag in (1, 2):
         rows = np.nonzero(model.fold_assignment == tag)[0]
-        if rows.size == 0:
-            continue
-        f = 3 - tag
         x = model.test_features[rows]
+        f = 3 - tag
         for k in range(1, model.class_count + 1):
             clf = model.classifiers[(k, f)]
-            cal = model.calibration_scores[(k, f)]
-            if clf is None or cal.size == 0:
-                pv[rows, k - 1] = 1.0
-                continue
-            scores = predict_probability_batch(clf, x)
-            pv[rows, k - 1] = (1 + np.searchsorted(cal, scores, side="right")) / (cal.size + 1)
+            if clf is not None:
+                scores = predict_probability_batch(clf, x)
+                pv[rows, k - 1] = conformal_p_value(scores, model.calibration_scores[(k, f)])
     return pv
 
 
-def predict_all(model: BcopsModel, alpha: float | None = None) -> list[PredictionSet]:
-    """Prediction set for every test row, in input order."""
-    a = model.alpha if alpha is None else alpha
-    pv = conformal_p_values(model)
-    include = pv > a
-    return [
-        PredictionSet(frozenset(np.nonzero(row)[0] + 1)) for row in include
-    ]
+def predict_all(model: BcopsModel, alpha: float | None = None) -> np.ndarray:
+    """(n_test, K) boolean membership matrix, rows in test order.
 
-
-def predict_set(model: BcopsModel, test_row: int, alpha: float | None = None) -> PredictionSet:
-    """Prediction set for one fitted test row."""
-    m = model.test_features.shape[0]
-    if not 0 <= test_row < m:
-        raise IndexError(f"test_row {test_row} outside fitted test set of size {m}")
-    a = model.alpha if alpha is None else alpha
-    f = 3 - int(model.fold_assignment[test_row])
-    x = model.test_features[test_row : test_row + 1]
-    members = []
-    for k in range(1, model.class_count + 1):
-        clf = model.classifiers[(k, f)]
-        cal = model.calibration_scores[(k, f)]
-        if clf is None or cal.size == 0:
-            p = 1.0
-        else:
-            p = conformal_p_value(float(predict_probability_batch(clf, x)[0]), cal)
-        if p > a:
-            members.append(k)
-    return PredictionSet(frozenset(members))
+    Column k-1 holds class k: True iff its p-value exceeds alpha. An
+    all-False row is an abstention.
+    """
+    return conformal_p_values(model) > (model.alpha if alpha is None else alpha)

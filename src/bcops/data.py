@@ -8,7 +8,7 @@ External label alphabets (e.g. MNIST digits) are mapped on ingestion via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

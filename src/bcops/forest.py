@@ -42,6 +42,14 @@ class ForestConfig:
     max_depth: int | None = None
     seed_stream: RngStream = field(default_factory=lambda: RngStream(0, 0))
 
+    def __post_init__(self) -> None:
+        if self.n_trees < 1:
+            raise ValueError("n_trees must be >= 1")
+        if self.min_node_size < 1:
+            raise ValueError("min_node_size must be >= 1")
+        if self.mtry is not None and self.mtry < 1:
+            raise ValueError("mtry must be >= 1")
+
 
 class _Tree:
     """Flat-array CART tree; feature == -1 marks a leaf."""
@@ -72,16 +80,6 @@ class ForestModel:
     n_features: int
 
 
-def gini_impurity(counts: tuple[int, int]) -> float:
-    """Binary Gini impurity 1 - q^2 - (1-q)^2 for counts (n0, n1)."""
-    n0, n1 = counts
-    total = n0 + n1
-    if total < 1:
-        raise ValueError("empty node")
-    q = n1 / total
-    return 1.0 - q * q - (1.0 - q) * (1.0 - q)
-
-
 def _best_split_columns(values: np.ndarray, targets: np.ndarray):
     """Best Gini split over the columns of ``values`` (one feature each).
 
@@ -90,9 +88,11 @@ def _best_split_columns(values: np.ndarray, targets: np.ndarray):
     the lowest threshold.
     """
     n, m = values.shape
+    if n < 2:
+        return None
     n1 = int(targets.sum())
     parent = 1.0 - (n1 / n) ** 2 - (1.0 - n1 / n) ** 2
-    if n < 2 or parent <= 0.0:
+    if parent <= 0.0:
         return None
     order = np.argsort(values, axis=0, kind="stable")
     vs = np.take_along_axis(values, order, axis=0)
@@ -118,23 +118,6 @@ def _best_split_columns(values: np.ndarray, targets: np.ndarray):
         if d > 0.0 and (best is None or d > best[2]):
             best = (c, float(mid[j, c]), float(d))
     return best
-
-
-def best_split(rows, feature: int, data: BinaryTrainingSet):
-    """Best threshold on one feature, scanning midpoints of distinct values.
-
-    Returns (threshold, impurity_decrease) or None if the feature is
-    constant on ``rows`` (or no split reduces impurity).
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        raise ValueError("rows must be non-empty")
-    values = data.features[rows, feature][:, None]
-    found = _best_split_columns(values, data.targets[rows].astype(np.float64))
-    if found is None:
-        return None
-    _, threshold, decrease = found
-    return threshold, decrease
 
 
 def _grow_tree(x, y, boot, g, mtry, min_node_size, max_depth):
@@ -183,10 +166,6 @@ def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
     n, p = x.shape
     if n == 0 or y.min() == y.max():
         raise ValueError("degenerate binary training set")
-    if config.n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
-    if config.min_node_size < 1:
-        raise ValueError("min_node_size must be >= 1")
     mtry = config.mtry if config.mtry is not None else max(1, int(np.sqrt(p)))
     if not 1 <= mtry <= p:
         raise ValueError(f"mtry must lie in 1..{p}")
@@ -209,9 +188,3 @@ def predict_probability_batch(model: ForestModel, x) -> np.ndarray:
         acc += tree.predict(x)
     return acc / len(model.trees)
 
-
-def predict_probability(model: ForestModel, x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("x must be a single feature vector")
-    return float(predict_probability_batch(model, x[None, :])[0])

@@ -8,29 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import OUTLIER
-from .conformal import PredictionSet
 
 CLASS_COVERAGE = "class_coverage"
 MEAN_COVERAGE = "mean_coverage"
 ABSTENTION_RATE = "abstention_rate"
 METRIC_NAMES = (CLASS_COVERAGE, MEAN_COVERAGE, ABSTENTION_RATE)
-
-
-@dataclass(frozen=True)
-class EvaluationFrame:
-    """Prediction sets paired with ground truth (classes or OUTLIER marks)."""
-
-    sets: tuple
-    truth: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sets", tuple(self.sets))
-        truth = np.asarray(self.truth, dtype=np.int64)
-        object.__setattr__(self, "truth", truth)
-        if len(self.sets) == 0:
-            raise ValueError("frame must contain at least one row")
-        if truth.shape != (len(self.sets),):
-            raise ValueError("sets and truth must have equal length")
 
 
 @dataclass(frozen=True)
@@ -48,42 +30,37 @@ class MetricRecord:
             raise ValueError("metric value must lie in [0, 1]")
 
 
-def class_coverage(frame: EvaluationFrame, k: int) -> float:
-    """Fraction of true-class-k rows whose prediction set contains k."""
-    rows = np.nonzero(frame.truth == k)[0]
-    if rows.size == 0:
-        raise ValueError("class absent from evaluation")
-    hits = sum(1 for i in rows if k in frame.sets[i])
-    return hits / rows.size
+def evaluate(include, truth) -> list[MetricRecord]:
+    """Coverage and abstention of a membership matrix against ground truth.
 
+    ``include`` is the (n_test, K) boolean matrix of ``predict_all``
+    (column k-1 holds class k); ``truth`` holds each row's class in 1..K or
+    OUTLIER. Records: class coverage for every class present in ``truth``
+    (ascending), then their unweighted mean, then the fraction of outlier
+    rows with an empty set. A record whose rows are absent is omitted.
+    """
+    include = np.asarray(include, dtype=bool)
+    truth = np.asarray(truth, dtype=np.int64)
+    if include.ndim != 2 or include.shape[0] == 0 or truth.shape != include.shape[:1]:
+        raise ValueError("need an (n, K) membership matrix, n >= 1, and n truth entries")
+    k_count = include.shape[1]
+    if truth.min() < OUTLIER or truth.max() > k_count:
+        raise ValueError(f"truth classes must lie in 1..{k_count} or be OUTLIER")
 
-def mean_coverage(frame: EvaluationFrame) -> float:
-    """Unweighted mean of class_coverage over the inlier classes present."""
-    classes = sorted(set(frame.truth[frame.truth != OUTLIER].tolist()))
-    if not classes:
-        raise ValueError("no inlier rows in frame")
-    return float(np.mean([class_coverage(frame, k) for k in classes]))
-
-
-def abstention_rate(frame: EvaluationFrame) -> float:
-    """Fraction of outlier rows with an empty prediction set."""
-    rows = np.nonzero(frame.truth == OUTLIER)[0]
-    if rows.size == 0:
-        raise ValueError("no outliers in frame")
-    empty = sum(1 for i in rows if frame.sets[i].is_abstention)
-    return empty / rows.size
-
-
-def evaluate(sets, truth) -> list[MetricRecord]:
-    """All metrics computable on one (sets, truth) pair, classes ascending."""
-    frame = EvaluationFrame(tuple(sets), truth)
-    records = []
-    for k in sorted(set(frame.truth[frame.truth != OUTLIER].tolist())):
-        records.append(MetricRecord(CLASS_COVERAGE, class_coverage(frame, k), class_label=int(k)))
+    inlier = np.nonzero(truth != OUTLIER)[0]
+    labels = truth[inlier]
+    totals = np.bincount(labels, minlength=k_count + 1)
+    hits = np.bincount(labels[include[inlier, labels - 1]], minlength=k_count + 1)
+    records = [
+        MetricRecord(CLASS_COVERAGE, int(hits[k]) / int(totals[k]), class_label=int(k))
+        for k in np.nonzero(totals)[0]
+    ]
     if records:
-        records.append(MetricRecord(MEAN_COVERAGE, mean_coverage(frame)))
-    if np.any(frame.truth == OUTLIER):
-        records.append(MetricRecord(ABSTENTION_RATE, abstention_rate(frame)))
+        records.append(MetricRecord(MEAN_COVERAGE, float(np.mean([r.value for r in records]))))
+    outliers = include[truth == OUTLIER]
+    if outliers.shape[0]:
+        abstained = int(np.count_nonzero(~outliers.any(axis=1)))
+        records.append(MetricRecord(ABSTENTION_RATE, abstained / outliers.shape[0]))
     return records
 
 

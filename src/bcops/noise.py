@@ -29,14 +29,9 @@ class CorruptionSpec:
             raise ValueError("class_count must be >= 2")
 
 
-def corrupt_labels_with_mask(
-    labels, spec: CorruptionSpec, rng: RngStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Corrupt labels and also return the per-row corruption-branch mask.
-
-    The mask records where the replacement branch fired, which under
-    exclusion sampling coincides exactly with ``output != input``.
-    """
+def corrupt_labels(labels, spec: CorruptionSpec, rng: RngStream) -> np.ndarray:
+    """Replace each label with probability ``spec.phi``; the module docstring
+    describes how the replacement label is drawn."""
     labels = np.asarray(labels, dtype=np.int64)
     k = spec.class_count
     if labels.size and labels.max() > k:
@@ -49,16 +44,4 @@ def corrupt_labels_with_mask(
         # uniform over the K-1 classes excluding the current label
         shift = g.integers(1, k, size=labels.size)
         replacement = (labels - 1 + shift) % k + 1
-    return np.where(fired, replacement, labels), fired
-
-
-def corrupt_labels(labels, spec: CorruptionSpec, rng: RngStream) -> np.ndarray:
-    out, _ = corrupt_labels_with_mask(labels, spec, rng)
-    return out
-
-
-def expected_noise_fraction(spec: CorruptionSpec) -> float:
-    """Expected fraction of labels that differ after corruption."""
-    if spec.inclusive_resampling:
-        return spec.phi * (spec.class_count - 1) / spec.class_count
-    return spec.phi
+    return np.where(fired, replacement, labels)

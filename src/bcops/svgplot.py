@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .metrics import ABSTENTION_RATE, CLASS_COVERAGE, MEAN_COVERAGE, SummaryRow
+from .metrics import ABSTENTION_RATE, CLASS_COVERAGE, MEAN_COVERAGE
 
 _PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",

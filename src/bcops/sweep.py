@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from .mnist import MnistSource, filter_digits, load_mnist
 from .noise import CorruptionSpec, corrupt_labels
 
 EXPERIMENTS = ("example1", "example2", "mnist")
+_STREAMS_PER_PHI = 10**6
 STREAM_ID_FORMULA = "stream_id = phi_index * 10**6 + repetition"
 CSV_HEADER = ["experiment", "phi", "repetition", "metric", "class", "value"]
 
@@ -65,8 +66,11 @@ class ExperimentConfig:
             raise ValueError("phi_grid values must lie in [0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("phi_grid must be strictly ascending")
-        if self.repetitions is not None and self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if self.repetitions is not None and not 1 <= self.repetitions < _STREAMS_PER_PHI:
+            # a larger count would reuse the streams of the next phi index
+            raise ValueError(f"repetitions must lie in 1..{_STREAMS_PER_PHI - 1}")
+        if not self.imbalance_cap > 0:
+            raise ValueError("imbalance_cap must be > 0")
         if self.experiment == "mnist":
             if self.mnist_paths is None:
                 raise ValueError("mnist_paths is required when experiment=mnist")
@@ -136,15 +140,6 @@ class SweepRow:
 class SweepResult:
     rows: tuple
 
-    def to_aggregate_records(self):
-        return [
-            (r.repetition, r.phi, MetricRecord(
-                r.metric, r.value,
-                class_label=r.class_label if r.metric == CLASS_COVERAGE else None,
-            ))
-            for r in self.rows
-        ]
-
 
 @dataclass(frozen=True)
 class _MnistContext:
@@ -173,7 +168,7 @@ def prepare_mnist(paths: dict) -> _MnistContext:
 
 def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
     phi = config.phi_grid[phi_index]
-    stream = RngStream(config.seed, phi_index * 10**6 + rep)
+    stream = RngStream(config.seed, phi_index * _STREAMS_PER_PHI + rep)
     data_rng, noise_rng, fit_rng = stream.derive(1), stream.derive(2), stream.derive(3)
 
     display: dict = {}
@@ -315,4 +310,9 @@ def write_summary_csv(summary_rows, path) -> None:
 
 
 def aggregate_result(result: SweepResult):
-    return aggregate(result.to_aggregate_records())
+    return aggregate(
+        (r.repetition, r.phi, MetricRecord(
+            r.metric, r.value, class_label=r.class_label if r.metric == CLASS_COVERAGE else None,
+        ))
+        for r in result.rows
+    )

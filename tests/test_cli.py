@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bcops
 from bcops.cli import cli_main
 from bcops.mnist import serialize_idx_images, serialize_idx_labels
 
@@ -41,6 +47,11 @@ def test_validate_mnist_dry_run(tmp_path, capsys):
     cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=1)
     assert cli_main(["validate", "--config", str(cfg)]) == 0
     assert "experiment=mnist" in capsys.readouterr().out
+    # mtry is checked against the parsed image width, 784
+    cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=1,
+                        forest={"mtry": 785})
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    assert "784 features" in capsys.readouterr().err
 
 
 def test_mnist_without_paths_fails_naming_field(tmp_path, capsys):
@@ -114,3 +125,47 @@ def test_threads_env_invalid(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BCOPS_THREADS", "lots")
     assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "BCOPS_THREADS" in capsys.readouterr().err
+
+
+def test_validate_rejects_nonpositive_imbalance_cap(tmp_path, capsys):
+    cfg = _write_config(tmp_path, imbalance_cap=-1)
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    assert "imbalance_cap" in capsys.readouterr().err
+
+
+def test_validate_rejects_mtry_above_feature_count(tmp_path, capsys):
+    # example1 has 10 features
+    assert cli_main(["validate", "--config", str(_write_config(tmp_path, forest={"mtry": 10}))]) == 0
+    cfg = _write_config(tmp_path, forest={"n_trees": 4, "mtry": 11})
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    assert "mtry" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs():
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(bcops.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bcops.cli", "validate", "--config", "configs/example1.json"],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "config ok" in proc.stdout
+
+
+# SHA-256 of the outputs of the sweep below, as first written by the reference
+# implementation. Any change to these bytes is a behaviour change.
+GOLDEN_SHA256 = {
+    "sweep.csv": "4dccbce3aa2eefe11f6e606cb5164ca4b1ecbcca33dfcdddf154aec485631727",
+    "summary.csv": "95f38bb04fa7cfbfaa758f28360d9b403b8db1837fa884da73fe11cc8dd89c7f",
+}
+
+
+def test_golden_sweep_bytes(tmp_path):
+    cfg = _write_config(
+        tmp_path, phi_grid=[0.0, 0.5], forest={"n_trees": 5, "min_node_size": 25, "max_depth": 12}
+    )
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

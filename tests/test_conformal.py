@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 import bcops.conformal as conformal_mod
-from bcops.conformal import (
-    BcopsModel,
-    PredictionSet,
-    conformal_p_value,
-    conformal_p_values,
-    fit_bcops,
-    predict_all,
-    predict_set,
-)
+from bcops.conformal import BcopsModel, conformal_p_value, conformal_p_values, fit_bcops, predict_all
 from bcops.data import LabeledDataset, RngStream, UnlabeledDataset
 from bcops.datagen import gen_example1_test, gen_example1_train
 from bcops.forest import ForestConfig, predict_probability_batch
@@ -45,6 +37,15 @@ class TestConformalPValue:
             cal = np.sort(np.round(g.random(n), 2))
             score = round(float(g.random()), 2)
             assert conformal_p_value(score, cal) == _brute_force_p_value(score, cal)
+
+    def test_array_of_scores_matches_brute_force(self):
+        g = np.random.default_rng(1)
+        for n in (0, 1, 7):
+            cal = np.sort(np.round(g.random(n), 2))
+            scores = np.round(g.random(20), 2)
+            got = conformal_p_value(scores, cal)
+            assert got.shape == (20,)
+            assert got.tolist() == [_brute_force_p_value(s, cal) for s in scores]
 
 
 def _two_blob_data(rng_seed=0, n=120):
@@ -90,7 +91,7 @@ class TestFitBcops:
         f_absent = [f for f in (1, 2) if model.classifiers[(2, f)] is None]
         assert f_absent
         rows = np.nonzero(model.fold_assignment == 3 - f_absent[0])[0]
-        assert all(2 in sets[i] for i in rows)
+        assert sets[rows, 1].all()
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -100,7 +101,28 @@ class TestFitBcops:
         args = (_two_blob_data(), _matching_test(), SMALL_FOREST, 0.05, RngStream(6))
         sets1 = predict_all(fit_bcops(*args))
         sets2 = predict_all(fit_bcops(*args))
-        assert sets1 == sets2
+        assert np.array_equal(sets1, sets2)
+
+    def test_imbalance_cap_validation(self):
+        for cap in (0.0, -1.0):
+            with pytest.raises(ValueError, match="imbalance_cap"):
+                fit_bcops(_two_blob_data(), _matching_test(), SMALL_FOREST, 0.05, RngStream(0),
+                          imbalance_cap=cap)
+
+    def test_tiny_imbalance_cap_still_subsamples(self, monkeypatch):
+        # int(cap * class rows) is 0 here; the test fold is cut to one row
+        sizes = []
+        original = conformal_mod.train_forest
+
+        def recording(data, config):
+            sizes.append((int(data.targets.sum()), int((data.targets == 0).sum())))
+            return original(data, config)
+
+        monkeypatch.setattr(conformal_mod, "train_forest", recording)
+        fit_bcops(_two_blob_data(), _matching_test(), SMALL_FOREST, 0.05, RngStream(0),
+                  imbalance_cap=1e-6)
+        assert len(sizes) == 4
+        assert all(n_class > 1 and n_test == 1 for n_class, n_test in sizes)
 
 
 @pytest.fixture(scope="module")
@@ -113,34 +135,38 @@ class TestPredict:
     def model(self, fitted_model):
         return fitted_model
 
-    def test_predict_all_matches_predict_set(self, model):
+    def test_predict_all_matches_brute_force_recount(self, model):
+        pv = conformal_p_values(model)
         sets = predict_all(model)
-        assert len(sets) == 90
+        assert sets.shape == pv.shape == (90, 2) and sets.dtype == bool
         for i in (0, 17, 45, 89):
-            assert predict_set(model, i) == sets[i]
+            f = 3 - int(model.fold_assignment[i])
+            for k in (1, 2):
+                clf = model.classifiers[(k, f)]
+                cal = model.calibration_scores[(k, f)].tolist()
+                score = float(predict_probability_batch(clf, model.test_features[i : i + 1])[0])
+                expected = _brute_force_p_value(score, cal)
+                assert pv[i, k - 1] == expected
+                assert sets[i, k - 1] == (expected > model.alpha)
 
     def test_idempotent(self, model):
-        assert predict_all(model) == predict_all(model)
+        assert np.array_equal(predict_all(model), predict_all(model))
 
     def test_alpha_to_zero_includes_all_classes(self, model):
         sets = predict_all(model, alpha=1e-12)
-        assert all(s.members == frozenset({1, 2}) for s in sets)
+        assert sets.shape == (90, 2) and sets.all()
 
     def test_alpha_monotone_nesting(self, model):
         loose = predict_all(model, alpha=0.01)
         tight = predict_all(model, alpha=0.10)
-        assert all(t.members <= l.members for t, l in zip(tight, loose))
-
-    def test_unknown_row_error(self, model):
-        with pytest.raises(IndexError):
-            predict_set(model, 90)
+        assert not (tight & ~loose).any()
 
     def test_all_p_below_alpha_abstains(self, model):
         pv = conformal_p_values(model)
         i = int(np.argmin(pv.max(axis=1)))
         a = float(pv[i].max())
         if a < 1.0:
-            assert predict_set(model, i, alpha=a).is_abstention
+            assert not predict_all(model, alpha=a)[i].any()
 
 
 def test_far_outliers_get_empty_sets():
@@ -150,7 +176,7 @@ def test_far_outliers_get_empty_sets():
     test = UnlabeledDataset(np.vstack([gen_example1_test(RngStream(8, 2)).features, far]))
     model = fit_bcops(train, test, ForestConfig(n_trees=30, min_node_size=25, max_depth=12), 0.05, RngStream(8, 3))
     sets = predict_all(model)
-    abstained = sum(1 for s in sets[-200:] if s.is_abstention)
+    abstained = int(np.count_nonzero(~sets[-200:].any(axis=1)))
     assert abstained >= 0.95 * 200
 
 
@@ -204,7 +230,7 @@ def test_score_order_sufficiency(monkeypatch):
         warnings=model.warnings,
     )
     monkeypatch.setattr(conformal_mod, "predict_probability_batch", patched)
-    assert predict_all(warped) == baseline
+    assert np.array_equal(predict_all(warped), baseline)
 
 
 def test_super_uniformity_quick():

@@ -6,10 +6,8 @@ from bcops.forest import (
     BinaryTrainingSet,
     ForestConfig,
     ForestModel,
+    _best_split_columns,
     _Tree,
-    best_split,
-    gini_impurity,
-    predict_probability,
     predict_probability_batch,
     train_forest,
 )
@@ -24,19 +22,36 @@ def _separable_1d(g, n_per_class=50, gap=1.0):
     return BinaryTrainingSet(x, y)
 
 
+def _split(values, targets):
+    """_best_split_columns on a single feature column."""
+    return _best_split_columns(
+        np.asarray(values, dtype=np.float64)[:, None], np.asarray(targets, dtype=np.float64)
+    )
+
+
 class TestGini:
+    # a perfectly separating split leaves pure children, so its impurity
+    # decrease equals the parent's Gini impurity 1 - q^2 - (1-q)^2
     def test_pure_node(self):
-        assert gini_impurity((10, 0)) == 0.0
+        assert _split(np.arange(10.0), np.ones(10)) is None
 
     def test_symmetric_maximum(self):
-        assert gini_impurity((5, 5)) == 0.5
+        col, thr, dec = _split(np.arange(10.0), [0] * 5 + [1] * 5)
+        assert (col, thr) == (0, 4.5)
+        assert dec == 0.5
 
     def test_hand_value(self):
-        assert gini_impurity((3, 1)) == pytest.approx(0.375)
+        _, _, dec = _split([1.0, 2.0, 3.0, 4.0], [0, 0, 0, 1])
+        assert dec == pytest.approx(0.375)
 
     def test_empty_node(self):
-        with pytest.raises(ValueError, match="empty node"):
-            gini_impurity((0, 0))
+        assert _split([], []) is None
+        assert _split([1.0], [1]) is None
+
+
+def _gini(n0, n1):
+    q = n1 / (n0 + n1)
+    return 1.0 - q * q - (1.0 - q) * (1.0 - q)
 
 
 def _brute_force_best_split(values, targets):
@@ -45,7 +60,7 @@ def _brute_force_best_split(values, targets):
     vs, ys = values[order], targets[order]
     n = len(vs)
     n1 = int(ys.sum())
-    parent = gini_impurity((n - n1, n1))
+    parent = _gini(n - n1, n1)
     best = None
     for i in range(n - 1):
         if vs[i] == vs[i + 1]:
@@ -57,7 +72,7 @@ def _brute_force_best_split(values, targets):
             continue
         l1 = int(targets[left].sum())
         r1 = n1 - l1
-        child = (nl * gini_impurity((nl - l1, l1)) + nr * gini_impurity((nr - r1, r1))) / n
+        child = (nl * _gini(nl - l1, l1) + nr * _gini(nr - r1, r1)) / n
         dec = parent - child
         if best is None or dec > best[1] + 1e-12:
             best = (thr, dec)
@@ -68,19 +83,18 @@ def _brute_force_best_split(values, targets):
 
 class TestBestSplit:
     def test_two_point_case(self):
-        data = BinaryTrainingSet(np.array([[1.0], [2.0]]), [0, 1])
-        thr, dec = best_split([0, 1], 0, data)
+        col, thr, dec = _split([1.0, 2.0], [0, 1])
+        assert col == 0
         assert thr == pytest.approx(1.5)
         assert dec == pytest.approx(0.5)
 
     def test_constant_feature(self):
-        data = BinaryTrainingSet(np.array([[3.0], [3.0], [3.0]]), [0, 1, 0])
-        assert best_split([0, 1, 2], 0, data) is None
+        assert _split([3.0, 3.0, 3.0], [0, 1, 0]) is None
 
     def test_clean_step(self):
-        data = BinaryTrainingSet(np.array([[1.0], [2.0], [3.0], [4.0]]), [0, 0, 1, 1])
-        thr, dec = best_split([0, 1, 2, 3], 0, data)
-        oracle = _brute_force_best_split(data.features[:, 0], data.targets.astype(int))
+        values, targets = np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 0, 1, 1])
+        _, thr, dec = _split(values, targets)
+        oracle = _brute_force_best_split(values, targets)
         assert thr == pytest.approx(2.5)
         assert thr == pytest.approx(oracle[0])
         assert dec == pytest.approx(oracle[1])
@@ -93,20 +107,30 @@ class TestBestSplit:
             targets = g.integers(0, 2, size=n)
             if targets.min() == targets.max():
                 continue
-            data = BinaryTrainingSet(values[:, None], targets)
-            got = best_split(np.arange(n), 0, data)
+            got = _split(values, targets)
             expected = _brute_force_best_split(values, targets)
             if expected is None:
                 assert got is None
             else:
                 assert got is not None
-                assert got[1] == pytest.approx(expected[1])
-                assert got[1] >= 0.0
+                assert got[2] == pytest.approx(expected[1])
+                assert got[2] >= 0.0
 
-    def test_empty_rows_error(self):
-        data = BinaryTrainingSet(np.array([[1.0]]), [1])
-        with pytest.raises(ValueError):
-            best_split([], 0, data)
+    def test_picks_best_column(self):
+        g = np.random.default_rng(43)
+        for trial in range(100):
+            n = int(g.integers(2, 25))
+            values = np.round(g.normal(size=(n, 3)), 1)
+            targets = g.integers(0, 2, size=n)
+            got = _best_split_columns(values, targets.astype(np.float64))
+            per_column = [_brute_force_best_split(values[:, c], targets) for c in range(3)]
+            decreases = [-1.0 if e is None else e[1] for e in per_column]
+            if max(decreases) < 0:
+                assert got is None
+            else:
+                assert got is not None
+                assert got[2] == pytest.approx(max(decreases))
+                assert decreases[got[0]] == pytest.approx(max(decreases))
 
 
 class TestTrainForest:
@@ -126,7 +150,7 @@ class TestTrainForest:
                 BinaryTrainingSet(x, y),
                 ForestConfig(n_trees=10, seed_stream=RngStream(seed)),
             )
-            preds.append(predict_probability(model, x[0]))
+            preds.append(predict_probability_batch(model, x[:1])[0])
         assert abs(float(np.mean(preds)) - 1 / 3) <= 0.02
 
     def test_stump_predicts_prior_exactly(self):
@@ -163,16 +187,16 @@ class TestPredict:
     def test_mean_of_leaf_probabilities(self):
         leaf = lambda p: _Tree([-1], [0.0], [-1], [-1], [p])
         model = ForestModel(trees=(leaf(0.2), leaf(0.6)), n_features=4)
-        assert predict_probability(model, np.zeros(4)) == pytest.approx(0.4)
+        assert predict_probability_batch(model, np.zeros((1, 4)))[0] == pytest.approx(0.4)
 
     def test_pure_single_leaf(self):
         model = ForestModel(trees=(_Tree([-1], [0.0], [-1], [-1], [1.0]),), n_features=2)
-        assert predict_probability(model, np.array([100.0, -3.0])) == 1.0
+        assert predict_probability_batch(model, np.array([[100.0, -3.0]]))[0] == 1.0
 
     def test_separable_far_point(self):
         data = _separable_1d(np.random.default_rng(1))
         model = train_forest(data, ForestConfig(n_trees=30, seed_stream=RngStream(2)))
-        assert predict_probability(model, np.array([3.0])) >= 0.9
+        assert predict_probability_batch(model, np.array([[3.0]]))[0] >= 0.9
 
     def test_invariant_to_tree_order(self):
         data = _separable_1d(np.random.default_rng(7))
@@ -188,7 +212,9 @@ class TestPredict:
         data = _separable_1d(np.random.default_rng(2))
         model = train_forest(data, ForestConfig(n_trees=2, seed_stream=RngStream(0)))
         with pytest.raises(ValueError):
-            predict_probability(model, np.zeros(3))
+            predict_probability_batch(model, np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            predict_probability_batch(model, np.zeros(1))
 
 
 def test_monotone_separable_out_of_sample():
@@ -212,3 +238,7 @@ def test_config_validation():
         train_forest(data, ForestConfig(mtry=2))  # p == 1
     with pytest.raises(ValueError):
         train_forest(data, ForestConfig(min_node_size=0))
+    # positivity is checked when the config is built, before any data
+    for bad in ({"n_trees": 0}, {"min_node_size": 0}, {"mtry": 0}):
+        with pytest.raises(ValueError):
+            ForestConfig(**bad)

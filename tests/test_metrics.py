@@ -1,99 +1,95 @@
 import numpy as np
 import pytest
 
-from bcops.conformal import PredictionSet
 from bcops.data import OUTLIER
 from bcops.metrics import (
     ABSTENTION_RATE,
     CLASS_COVERAGE,
     MEAN_COVERAGE,
-    EvaluationFrame,
     MetricRecord,
-    abstention_rate,
     aggregate,
-    class_coverage,
     evaluate,
-    mean_coverage,
 )
 
 
-def _sets(*memberships):
-    return tuple(PredictionSet(frozenset(m)) for m in memberships)
+def _matrix(memberships, k_count=3):
+    """Boolean membership matrix with column k-1 set iff k is in the row's set."""
+    include = np.zeros((len(memberships), k_count), dtype=bool)
+    for i, members in enumerate(memberships):
+        for k in members:
+            include[i, k - 1] = True
+    return include
 
 
-def _frame(memberships, truth):
-    return EvaluationFrame(_sets(*memberships), np.asarray(truth))
+def _metrics(memberships, truth, k_count=3):
+    """evaluate() output keyed by (metric, class)."""
+    records = evaluate(_matrix(memberships, k_count), np.asarray(truth))
+    return {(r.metric_name, r.class_label): r.value for r in records}
 
 
 class TestClassCoverage:
     def test_hand_count(self):
-        frame = _frame([{1}, {1, 2}, set(), {2}], [1, 1, 1, 2])
-        assert class_coverage(frame, 1) == pytest.approx(2 / 3)
+        got = _metrics([{1}, {1, 2}, set(), {2}], [1, 1, 1, 2])
+        assert got[(CLASS_COVERAGE, 1)] == 2 / 3
 
     def test_perfect_coverage(self):
-        frame = _frame([{1}, {2}, {1, 2}], [1, 2, 1])
-        assert class_coverage(frame, 1) == 1.0
-        assert class_coverage(frame, 2) == 1.0
+        got = _metrics([{1}, {2}, {1, 2}], [1, 2, 1])
+        assert got[(CLASS_COVERAGE, 1)] == 1.0
+        assert got[(CLASS_COVERAGE, 2)] == 1.0
 
     def test_absent_class_error(self):
-        frame = _frame([{1}], [1])
-        with pytest.raises(ValueError, match="class absent"):
-            class_coverage(frame, 2)
+        # a class absent from the truth gets no record; a truth class with no
+        # column in the matrix is an error
+        assert (CLASS_COVERAGE, 2) not in _metrics([{1}], [1])
+        with pytest.raises(ValueError, match="truth classes"):
+            _metrics([{1}], [4])
 
     def test_row_permutation_invariance(self):
         g = np.random.default_rng(0)
         memberships = [set(g.choice([1, 2, 3], size=g.integers(0, 3), replace=False)) for _ in range(12)]
         truth = g.integers(1, 4, size=12)
-        frame = _frame(memberships, truth)
         perm = g.permutation(12)
-        shuffled = _frame([memberships[i] for i in perm], truth[perm])
-        for k in (1, 2, 3):
-            assert class_coverage(frame, k) == class_coverage(shuffled, k)
+        shuffled = _metrics([memberships[i] for i in perm], truth[perm])
+        assert _metrics(memberships, truth) == shuffled
 
 
 class TestMeanCoverage:
     def test_equal_weighting(self):
-        frame = _frame([{1}, {1}, {2}, set()], [1, 1, 2, 2])
+        got = _metrics([{1}, {1}, {2}, set()], [1, 1, 2, 2])
         # coverages 1.0 and 0.5
-        assert mean_coverage(frame) == pytest.approx(0.75)
+        assert got[(MEAN_COVERAGE, None)] == 0.75
 
     def test_single_class_equals_class_coverage(self):
-        frame = _frame([{1}, set(), {1}], [1, 1, 1])
-        assert mean_coverage(frame) == class_coverage(frame, 1)
+        got = _metrics([{1}, set(), {1}], [1, 1, 1])
+        assert got[(MEAN_COVERAGE, None)] == got[(CLASS_COVERAGE, 1)]
 
     def test_outlier_rows_excluded(self):
-        frame = _frame([{1}, set(), {1}], [1, OUTLIER, 1])
-        assert mean_coverage(frame) == 1.0
+        got = _metrics([{1}, set(), {1}], [1, OUTLIER, 1])
+        assert got[(MEAN_COVERAGE, None)] == 1.0
 
-    def test_no_inliers_error(self):
-        frame = _frame([set()], [OUTLIER])
-        with pytest.raises(ValueError, match="no inlier"):
-            mean_coverage(frame)
+    def test_no_inliers_no_mean_record(self):
+        assert list(_metrics([set()], [OUTLIER])) == [(ABSTENTION_RATE, None)]
 
 
 class TestAbstentionRate:
     def test_all_empty(self):
-        frame = _frame([set(), set()], [OUTLIER, OUTLIER])
-        assert abstention_rate(frame) == 1.0
+        assert _metrics([set(), set()], [OUTLIER, OUTLIER])[(ABSTENTION_RATE, None)] == 1.0
 
     def test_none_empty(self):
-        frame = _frame([{1}, {2}], [OUTLIER, OUTLIER])
-        assert abstention_rate(frame) == 0.0
+        assert _metrics([{1}, {2}], [OUTLIER, OUTLIER])[(ABSTENTION_RATE, None)] == 0.0
 
     def test_hand_count(self):
-        frame = _frame([set(), {1}, set(), {2}], [OUTLIER] * 4)
-        assert abstention_rate(frame) == 0.5
+        got = _metrics([set(), {1}, set(), {2}], [OUTLIER] * 4)
+        assert got[(ABSTENTION_RATE, None)] == 0.5
 
-    def test_no_outliers_error(self):
-        frame = _frame([{1}], [1])
-        with pytest.raises(ValueError, match="no outliers"):
-            abstention_rate(frame)
+    def test_no_outliers_no_abstention_record(self):
+        assert (ABSTENTION_RATE, None) not in _metrics([{1}], [1])
 
     def test_ignores_inlier_rows(self):
         truth = [1, OUTLIER, 2, OUTLIER]
-        base = _frame([{1}, set(), {2}, {1}], truth)
-        mutated = _frame([set(), set(), {1, 2}, {1}], truth)
-        assert abstention_rate(base) == abstention_rate(mutated)
+        base = _metrics([{1}, set(), {2}, {1}], truth)
+        mutated = _metrics([set(), set(), {1, 2}, {1}], truth)
+        assert base[(ABSTENTION_RATE, None)] == mutated[(ABSTENTION_RATE, None)]
 
 
 def _brute_force_metrics(memberships, truth):
@@ -125,18 +121,18 @@ def test_metrics_match_brute_force_recount():
             set(g.choice([1, 2, 3], size=g.integers(0, 4), replace=False).tolist())
             for _ in range(n)
         ]
-        frame = _frame(memberships, truth)
+        got = _metrics(memberships, truth)
         cov, abst = _brute_force_metrics(memberships, truth)
-        for k, expected in cov.items():
-            assert class_coverage(frame, k) == expected
+        expected = {(CLASS_COVERAGE, k): v for k, v in cov.items()}
         if cov:
-            assert mean_coverage(frame) == pytest.approx(np.mean(list(cov.values())))
+            expected[(MEAN_COVERAGE, None)] = float(np.mean(list(cov.values())))
         if abst is not None:
-            assert abstention_rate(frame) == abst
+            expected[(ABSTENTION_RATE, None)] = abst
+        assert got == expected
 
 
 def test_evaluate_emits_expected_records():
-    records = evaluate(_sets({1}, {2}, set()), [1, 2, OUTLIER])
+    records = evaluate(_matrix([{1}, {2}, set()], 2), [1, 2, OUTLIER])
     names = [(r.metric_name, r.class_label) for r in records]
     assert names == [
         (CLASS_COVERAGE, 1),
@@ -145,6 +141,18 @@ def test_evaluate_emits_expected_records():
         (ABSTENTION_RATE, None),
     ]
     assert all(0.0 <= r.value <= 1.0 for r in records)
+    assert all(type(r.class_label) is int for r in records[:2])
+
+
+def test_evaluate_rejects_malformed_input():
+    with pytest.raises(ValueError):
+        evaluate(np.zeros((0, 2), dtype=bool), [])
+    with pytest.raises(ValueError):
+        evaluate(np.zeros((3, 2), dtype=bool), [1, 2])
+    with pytest.raises(ValueError):
+        evaluate(np.zeros(3, dtype=bool), [1, 2, 1])
+    with pytest.raises(ValueError, match="truth classes"):
+        evaluate(np.zeros((2, 2), dtype=bool), [1, -1])
 
 
 class TestAggregate:

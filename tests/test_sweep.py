@@ -1,7 +1,5 @@
-import numpy as np
 import pytest
 
-from bcops.forest import ForestConfig
 from bcops.metrics import ABSTENTION_RATE, CLASS_COVERAGE, MEAN_COVERAGE
 from bcops.sweep import (
     ExperimentConfig,
@@ -69,6 +67,23 @@ class TestConfig:
                 "experiment": "mnist",
                 "mnist_paths": {"train_images": "a", "train_labels": "b", "test_images": "c"},
             })
+
+    def test_imbalance_cap_must_be_positive(self):
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="imbalance_cap"):
+                _tiny_config(imbalance_cap=cap)
+
+    def test_repetitions_below_stream_block(self):
+        # cell streams are phi_index * 10**6 + repetition
+        assert _tiny_config(repetitions=10**6 - 1).resolved_repetitions == 10**6 - 1
+        for reps in (0, 10**6):
+            with pytest.raises(ValueError, match="repetitions"):
+                _tiny_config(repetitions=reps)
+
+    def test_forest_validated_at_load(self):
+        for bad in ({"n_trees": 0}, {"min_node_size": 0}, {"mtry": 0}):
+            with pytest.raises(ValueError):
+                _tiny_config(forest=dict(TINY_FOREST, **bad))
 
     def test_mnist_per_class_default(self):
         cfg = ExperimentConfig.from_dict({
