@@ -30,12 +30,11 @@ from .metrics import (
     MEAN_COVERAGE,
     MetricRecord,
     SummaryRow,
-    aggregate,
     evaluate,
 )
 from .datagen import gen_example1_test, gen_example1_train, gen_example2
 from .mnist import IdxFormatError, MnistSource, RawDigitDataset, filter_digits, load_mnist
-from .sweep import ExperimentConfig, SweepResult, SweepRow, read_csv, run_sweep, write_csv
+from .sweep import ExperimentConfig, SweepRow, read_csv, run_sweep, write_csv
 from .svgplot import render_lineplot
 
 __version__ = "0.1.0"

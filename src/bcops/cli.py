@@ -1,15 +1,14 @@
 """Command-line entry points: run sweeps, plot CSV results, validate configs.
 
 Config files are JSON with the ExperimentConfig field names. Flag overrides
-win over the file; --threads falls back to the BCOPS_THREADS environment
-variable, then 1.
+win over the file. Sweep cells run in order on one thread; --threads is
+accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -41,18 +40,6 @@ def _load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def _resolve_threads(flag_value) -> int:
-    if flag_value is not None:
-        return max(1, flag_value)
-    env = os.environ.get("BCOPS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"BCOPS_THREADS must be an integer, got {env!r}")
-    return 1
-
-
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
@@ -60,15 +47,14 @@ def _cmd_run(args) -> int:
     if args.reps is not None:
         config = replace(config, repetitions=args.reps)
     out_dir = Path(args.out or config.output_dir or "results")
-    threads = _resolve_threads(args.threads)
 
-    result = run_sweep(config, threads=threads)
+    rows = run_sweep(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(result, out_dir / "sweep.csv")
-    summary = aggregate_result(result)
+    write_csv(rows, out_dir / "sweep.csv")
+    summary = aggregate_result(rows)
     write_summary_csv(summary, out_dir / "summary.csv")
     (out_dir / "run_metadata.json").write_text(
-        json.dumps(run_metadata(config, threads), indent=2) + "\n", encoding="utf-8"
+        json.dumps(run_metadata(config), indent=2) + "\n", encoding="utf-8"
     )
     for metric in METRIC_NAMES:
         if any(r.metric_name == metric for r in summary):
@@ -78,8 +64,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    result = read_csv(args.csv)
-    summary = aggregate_result(result)
+    summary = aggregate_result(read_csv(args.csv))
     render_lineplot(summary, args.metric, args.out, alpha=args.alpha)
     print(f"wrote {args.out}")
     return 0
@@ -115,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="output directory (overrides config output_dir)")
     p_run.add_argument("--seed", type=int, help="override the config seed")
     p_run.add_argument("--reps", type=int, help="override the repetition count")
-    p_run.add_argument("--threads", type=int, help="worker threads (env BCOPS_THREADS, default 1)")
+    p_run.add_argument(
+        "--threads", type=int, help="accepted and ignored: cells run in order on one thread"
+    )
     p_run.set_defaults(func=_cmd_run)
 
     p_plot = sub.add_parser("plot", help="render an SVG line plot from a sweep CSV")

@@ -43,12 +43,14 @@ class ForestConfig:
     seed_stream: RngStream = field(default_factory=lambda: RngStream(0, 0))
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.min_node_size < 1:
-            raise ValueError("min_node_size must be >= 1")
-        if self.mtry is not None and self.mtry < 1:
-            raise ValueError("mtry must be >= 1")
+        for name in ("n_trees", "min_node_size", "mtry", "max_depth"):
+            value = getattr(self, name)
+            if value is None and name in ("mtry", "max_depth"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 class _Tree:

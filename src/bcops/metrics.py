@@ -1,5 +1,5 @@
 """Evaluation metrics: per-class coverage, class-averaged coverage, outlier
-abstention rate, and cross-repetition aggregation."""
+abstention rate, and the row type of their cross-repetition summary."""
 
 from __future__ import annotations
 
@@ -74,34 +74,6 @@ class SummaryRow:
     n_reps: int
 
 
-def aggregate(records) -> list[SummaryRow]:
-    """Group (repetition, phi, MetricRecord) triples by (phi, metric, class).
-
-    Output is ordered by phi ascending, then metric name, then class.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("no records to aggregate")
-    groups: dict = {}
-    for _rep, phi, rec in records:
-        groups.setdefault((phi, rec.metric_name, rec.class_label), []).append(rec.value)
-
-    def sort_key(key):
-        phi, name, label = key
-        return (phi, name, -1 if label is None else label)
-
-    out = []
-    for key in sorted(groups, key=sort_key):
-        values = np.asarray(groups[key], dtype=np.float64)
-        sd = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
-        out.append(
-            SummaryRow(
-                phi=key[0],
-                metric_name=key[1],
-                class_label=key[2],
-                mean=float(values.mean()),
-                sd=sd,
-                n_reps=int(values.size),
-            )
-        )
-    return out
+def class_order(label) -> int:
+    """Sort key of a class label: a row without a class sorts before class 1."""
+    return -1 if label is None else label

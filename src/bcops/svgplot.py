@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .metrics import ABSTENTION_RATE, CLASS_COVERAGE, MEAN_COVERAGE
+from .metrics import ABSTENTION_RATE, CLASS_COVERAGE, MEAN_COVERAGE, class_order
 
 _PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
@@ -38,14 +38,7 @@ def _y_px(v: float) -> float:
     return (_HEIGHT - _BOTTOM) - v * (_HEIGHT - _TOP - _BOTTOM)
 
 
-def render_lineplot(
-    summary_rows,
-    metric: str,
-    path,
-    alpha: float = 0.05,
-    class_names: dict | None = None,
-    title: str | None = None,
-) -> None:
+def render_lineplot(summary_rows, metric: str, path, alpha: float = 0.05) -> None:
     """Write one SVG chart of the selected metric against the noise level.
 
     class_coverage gets one polyline per class; the other metrics get a
@@ -62,12 +55,7 @@ def render_lineplot(
     for pts in series.values():
         pts.sort()
 
-    def label_for(cls) -> str:
-        if cls is None:
-            return _Y_TITLES.get(metric, metric)
-        if class_names and cls in class_names:
-            return f"class {class_names[cls]}"
-        return f"class {cls}"
+    title = _Y_TITLES.get(metric, metric)
 
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append(
@@ -75,8 +63,6 @@ def render_lineplot(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">'
     )
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
-    if title is None:
-        title = _Y_TITLES.get(metric, metric)
     out.append(
         f'<text x="{(_LEFT + _WIDTH - _RIGHT) / 2:.1f}" y="24" text-anchor="middle" '
         f'font-size="15">{_esc(title)}</text>'
@@ -117,7 +103,7 @@ def render_lineplot(
     ylab_y = (_y_px(0) + _y_px(1)) / 2
     out.append(
         f'<text x="18" y="{ylab_y:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {ylab_y:.1f})">{_esc(_Y_TITLES.get(metric, metric))}</text>'
+        f'transform="rotate(-90 18 {ylab_y:.1f})">{_esc(title)}</text>'
     )
 
     legend_x = _WIDTH - _RIGHT + 20
@@ -133,7 +119,7 @@ def render_lineplot(
         )
         legend_y += 20
 
-    for i, cls in enumerate(sorted(series, key=lambda c: (-1 if c is None else c))):
+    for i, cls in enumerate(sorted(series, key=class_order)):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{_x_px(p):.2f},{_y_px(v):.2f}" for p, v in series[cls])
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>')
@@ -141,8 +127,9 @@ def render_lineplot(
             f'<line x1="{legend_x}" y1="{legend_y - 4}" x2="{legend_x + 22}" y2="{legend_y - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
+        label = title if cls is None else f"class {cls}"
         out.append(
-            f'<text x="{legend_x + 28}" y="{legend_y}" text-anchor="start">{_esc(label_for(cls))}</text>'
+            f'<text x="{legend_x + 28}" y="{legend_y}" text-anchor="start">{_esc(label)}</text>'
         )
         legend_y += 20
 

@@ -1,15 +1,14 @@
 """Config-driven noise sweeps: run the full pipeline over a phi grid with
 repetitions, collect long-form metric rows, and round-trip them as CSV.
 
-Cell (phi index i, repetition r) draws from stream id i*10**6 + r, so any
-worker schedule produces the identical result.
+Cells run in order on one thread. Cell (phi index i, repetition r) draws
+from stream id i*10**6 + r, so its rows depend on nothing but the config.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from .conformal import fit_bcops, predict_all
 from .data import OUTLIER, LabeledDataset, RngStream, UnlabeledDataset, relabel_to_canonical, stratified_subsample
 from .datagen import gen_example1_test, gen_example1_train, gen_example2
 from .forest import ForestConfig
-from .metrics import CLASS_COVERAGE, MetricRecord, aggregate, evaluate
+from .metrics import CLASS_COVERAGE, METRIC_NAMES, SummaryRow, class_order, evaluate
 from .mnist import MnistSource, filter_digits, load_mnist
 from .noise import CorruptionSpec, corrupt_labels
 
@@ -137,11 +136,6 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    rows: tuple
-
-
-@dataclass(frozen=True)
 class _MnistContext:
     train: LabeledDataset
     test: UnlabeledDataset
@@ -208,55 +202,37 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
     ]
 
 
-def _row_sort_key(row: SweepRow):
-    return (row.phi, row.repetition, row.metric,
-            -1 if row.class_label is None else row.class_label)
-
-
-def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
-    """Run every (phi, repetition) cell; fully deterministic given config."""
+def run_sweep(config: ExperimentConfig) -> tuple:
+    """Run every (phi, repetition) cell in order; fully deterministic given config."""
     mnist_ctx = prepare_mnist(config.mnist_paths) if config.experiment == "mnist" else None
-    cells = [
-        (i, r)
-        for i in range(len(config.phi_grid))
-        for r in range(config.resolved_repetitions)
-    ]
-
-    def job(cell):
-        i, r = cell
-        try:
-            return _run_cell(config, mnist_ctx, i, r)
-        except Exception as exc:
-            raise RuntimeError(
-                f"sweep cell failed (phi={config.phi_grid[i]}, repetition={r}): {exc}"
-            ) from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, cells))
-    else:
-        results = [job(c) for c in cells]
-
-    rows = sorted((row for batch in results for row in batch), key=_row_sort_key)
-    return SweepResult(rows=tuple(rows))
+    rows = []
+    for i, phi in enumerate(config.phi_grid):
+        for r in range(config.resolved_repetitions):
+            try:
+                rows += _run_cell(config, mnist_ctx, i, r)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"sweep cell failed (phi={phi}, repetition={r}): {exc}"
+                ) from exc
+    rows.sort(key=lambda r: (r.phi, r.repetition, r.metric, class_order(r.class_label)))
+    return tuple(rows)
 
 
-def run_metadata(config: ExperimentConfig, threads: int) -> dict:
+def run_metadata(config: ExperimentConfig) -> dict:
     return {
         "config": config.to_dict(),
-        "threads": threads,
         "rng": {"seed": config.seed, "cell_stream": STREAM_ID_FORMULA},
         "csv_header": ",".join(CSV_HEADER),
     }
 
 
-def write_csv(result: SweepResult, path) -> None:
+def write_csv(rows, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in result.rows:
+    for r in rows:
         writer.writerow([
             r.experiment,
             f"{r.phi:.4f}",
@@ -271,7 +247,9 @@ def write_csv(result: SweepResult, path) -> None:
         raise OSError(f"failed to write CSV to {path}: {exc}") from exc
 
 
-def read_csv(path) -> SweepResult:
+def read_csv(path) -> tuple:
+    """Rows of a sweep CSV; a row with an unknown metric, a class on a metric
+    other than class_coverage (or none on it) or a value outside [0, 1] fails."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -281,15 +259,23 @@ def read_csv(path) -> SweepResult:
         rows = []
         for rec in reader:
             exp, phi, rep, metric, cls, value = rec
-            rows.append(SweepRow(
+            row = SweepRow(
                 experiment=exp,
                 phi=float(phi),
                 repetition=int(rep),
                 metric=metric,
                 class_label=None if cls == "" else int(cls),
                 value=float(value),
-            ))
-    return SweepResult(rows=tuple(rows))
+            )
+            where = f"{path}, line {reader.line_num}"
+            if metric not in METRIC_NAMES:
+                raise ValueError(f"{where}: unknown metric {metric!r}")
+            if (row.class_label is None) == (metric == CLASS_COVERAGE):
+                raise ValueError(f"{where}: a class is given iff the metric is {CLASS_COVERAGE}")
+            if not 0.0 <= row.value <= 1.0:
+                raise ValueError(f"{where}: value {value} lies outside [0, 1]")
+            rows.append(row)
+    return tuple(rows)
 
 
 def write_summary_csv(summary_rows, path) -> None:
@@ -309,10 +295,23 @@ def write_summary_csv(summary_rows, path) -> None:
             ])
 
 
-def aggregate_result(result: SweepResult):
-    return aggregate(
-        (r.repetition, r.phi, MetricRecord(
-            r.metric, r.value, class_label=r.class_label if r.metric == CLASS_COVERAGE else None,
+def aggregate_result(rows) -> list[SummaryRow]:
+    """Mean and sd of each (phi, metric, class) group of rows across repetitions,
+    ordered by phi, then metric name, then class."""
+    groups: dict = {}
+    for r in rows:
+        groups.setdefault((r.phi, r.metric, r.class_label), []).append(r.value)
+    if not groups:
+        raise ValueError("no rows to aggregate")
+    out = []
+    for phi, metric, label in sorted(groups, key=lambda k: (k[0], k[1], class_order(k[2]))):
+        values = np.asarray(groups[phi, metric, label], dtype=np.float64)
+        out.append(SummaryRow(
+            phi=phi,
+            metric_name=metric,
+            class_label=label,
+            mean=float(values.mean()),
+            sd=float(np.std(values, ddof=1)) if values.size > 1 else 0.0,
+            n_reps=int(values.size),
         ))
-        for r in result.rows
-    )
+    return out

@@ -40,9 +40,9 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num:2d} {name}: {status} ({detail})")
 
 
-def _mean_sd(result, phi, metric, class_label=None):
+def _mean_sd(rows, phi, metric, class_label=None):
     values = np.array([
-        r.value for r in result.rows
+        r.value for r in rows
         if abs(r.phi - phi) < 1e-9 and r.metric == metric and r.class_label == class_label
     ])
     assert values.size > 0, f"no rows for phi={phi}, metric={metric}"

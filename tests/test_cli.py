@@ -111,26 +111,35 @@ def test_run_seed_override_changes_output(tmp_path):
     assert base == (out3 / "sweep.csv").read_bytes()
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    cfg = _write_config(tmp_path, phi_grid=[0.0])
-    monkeypatch.setenv("BCOPS_THREADS", "2")
-    out = tmp_path / "env_out"
-    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    meta = json.loads((out / "run_metadata.json").read_text())
-    assert meta["threads"] == 2
-
-
-def test_threads_env_invalid(tmp_path, monkeypatch, capsys):
-    cfg = _write_config(tmp_path, phi_grid=[0.0])
-    monkeypatch.setenv("BCOPS_THREADS", "lots")
-    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-    assert "BCOPS_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize("metric,value,message", [
+    ("bogus", "0.5", "unknown metric 'bogus'"),
+    ("abstention_rate", "1.5", "[0, 1]"),
+])
+def test_plot_rejects_bad_csv_row(tmp_path, capsys, metric, value, message):
+    csv_path = tmp_path / "sweep.csv"
+    csv_path.write_text(
+        "experiment,phi,repetition,metric,class,value\n"
+        "example1,0.0000,0,mean_coverage,,0.900000\n"
+        f"example1,0.0000,0,{metric},,{value}\n"
+    )
+    out = tmp_path / "plot.svg"
+    argv = ["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_rejects_nonpositive_imbalance_cap(tmp_path, capsys):
     cfg = _write_config(tmp_path, imbalance_cap=-1)
     assert cli_main(["validate", "--config", str(cfg)]) == 1
     assert "imbalance_cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("n_trees", 2.5), ("max_depth", -3)])
+def test_validate_rejects_bad_forest_sizes(tmp_path, capsys, field, value):
+    cfg = _write_config(tmp_path, forest={"n_trees": 4, field: value})
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    assert field in capsys.readouterr().err
 
 
 def test_validate_rejects_mtry_above_feature_count(tmp_path, capsys):

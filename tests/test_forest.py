@@ -156,7 +156,7 @@ class TestTrainForest:
     def test_stump_predicts_prior_exactly(self):
         data = _separable_1d(np.random.default_rng(3), n_per_class=32)
         model = train_forest(
-            data, ForestConfig(n_trees=1, max_depth=0, seed_stream=RngStream(0))
+            data, ForestConfig(n_trees=1, min_node_size=64, seed_stream=RngStream(0))
         )
         # bootstrap resample prior, read off the single leaf
         tree = model.trees[0]
@@ -238,7 +238,11 @@ def test_config_validation():
         train_forest(data, ForestConfig(mtry=2))  # p == 1
     with pytest.raises(ValueError):
         train_forest(data, ForestConfig(min_node_size=0))
-    # positivity is checked when the config is built, before any data
-    for bad in ({"n_trees": 0}, {"min_node_size": 0}, {"mtry": 0}):
-        with pytest.raises(ValueError):
+    # sizes are checked when the config is built, before any data
+    for bad in ({"n_trees": 0}, {"min_node_size": 0}, {"mtry": 0}, {"max_depth": 0}, {"max_depth": -3}):
+        with pytest.raises(ValueError, match="must be >= 1"):
             ForestConfig(**bad)
+    for bad in ({"n_trees": 2.5}, {"min_node_size": True}, {"mtry": "3"}, {"max_depth": 3.0}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ForestConfig(**bad)
+    assert ForestConfig(n_trees=np.int64(3), max_depth=1).n_trees == 3

@@ -7,9 +7,9 @@ from bcops.metrics import (
     CLASS_COVERAGE,
     MEAN_COVERAGE,
     MetricRecord,
-    aggregate,
     evaluate,
 )
+from bcops.sweep import SweepRow, aggregate_result
 
 
 def _matrix(memberships, k_count=3):
@@ -155,34 +155,36 @@ def test_evaluate_rejects_malformed_input():
         evaluate(np.zeros((2, 2), dtype=bool), [1, -1])
 
 
+def _row(rep, phi, metric, value, class_label=None):
+    return SweepRow("example1", phi, rep, metric, class_label, value)
+
+
 class TestAggregate:
     def test_single_record(self):
-        rows = aggregate([(0, 0.1, MetricRecord(MEAN_COVERAGE, 0.9))])
+        rows = aggregate_result([_row(0, 0.1, MEAN_COVERAGE, 0.9)])
         assert len(rows) == 1
         assert rows[0].mean == 0.9 and rows[0].sd == 0.0 and rows[0].n_reps == 1
 
     def test_two_point_sd(self):
-        rows = aggregate([
-            (0, 0.2, MetricRecord(ABSTENTION_RATE, 0.9)),
-            (1, 0.2, MetricRecord(ABSTENTION_RATE, 1.0)),
+        rows = aggregate_result([
+            _row(0, 0.2, ABSTENTION_RATE, 0.9),
+            _row(1, 0.2, ABSTENTION_RATE, 1.0),
         ])
         assert rows[0].mean == pytest.approx(0.95)
         assert rows[0].sd == pytest.approx(0.0707, abs=1e-4)
 
     def test_identical_values(self):
-        records = [(r, 0.0, MetricRecord(MEAN_COVERAGE, 0.42)) for r in range(100)]
-        rows = aggregate(records)
+        rows = aggregate_result([_row(r, 0.0, MEAN_COVERAGE, 0.42) for r in range(100)])
         assert rows[0].mean == pytest.approx(0.42) and rows[0].sd == pytest.approx(0.0, abs=1e-12)
         assert rows[0].n_reps == 100
 
     def test_deterministic_order(self):
-        records = [
-            (0, 0.5, MetricRecord(MEAN_COVERAGE, 0.9)),
-            (0, 0.0, MetricRecord(CLASS_COVERAGE, 0.8, class_label=2)),
-            (0, 0.0, MetricRecord(CLASS_COVERAGE, 0.7, class_label=1)),
-            (0, 0.0, MetricRecord(ABSTENTION_RATE, 0.6)),
-        ]
-        rows = aggregate(records)
+        rows = aggregate_result([
+            _row(0, 0.5, MEAN_COVERAGE, 0.9),
+            _row(0, 0.0, CLASS_COVERAGE, 0.8, class_label=2),
+            _row(0, 0.0, CLASS_COVERAGE, 0.7, class_label=1),
+            _row(0, 0.0, ABSTENTION_RATE, 0.6),
+        ])
         keys = [(r.phi, r.metric_name, r.class_label) for r in rows]
         assert keys == [
             (0.0, ABSTENTION_RATE, None),
@@ -193,7 +195,7 @@ class TestAggregate:
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            aggregate_result([])
 
 
 def test_metric_record_validation():

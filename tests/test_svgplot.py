@@ -76,10 +76,12 @@ def test_tick_labels_every_tenth(tmp_path):
 
 
 def test_legend_names_classes(tmp_path):
+    # the legend names each class by the label its rows carry, in class order
     path = tmp_path / "plot.svg"
-    render_lineplot(_coverage_rows(), CLASS_COVERAGE, path, class_names={1: 0, 2: 5})
-    texts = {el.text for el in _parse(path).findall(f".//{SVG_NS}text")}
-    assert "class 0" in texts and "class 5" in texts
+    render_lineplot(_coverage_rows(classes=(2, 1)), CLASS_COVERAGE, path)
+    texts = [el.text for el in _parse(path).findall(f".//{SVG_NS}text")]
+    legend = [t for t in texts if t.startswith("class ")]
+    assert legend == ["class 1", "class 2"]
 
 
 def test_mean_coverage_single_polyline(tmp_path):

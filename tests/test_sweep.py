@@ -1,9 +1,15 @@
-import pytest
+import statistics
+import tempfile
+from pathlib import Path
 
-from bcops.metrics import ABSTENTION_RATE, CLASS_COVERAGE, MEAN_COVERAGE
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bcops.metrics import ABSTENTION_RATE, CLASS_COVERAGE, MEAN_COVERAGE, METRIC_NAMES
 from bcops.sweep import (
+    EXPERIMENTS,
     ExperimentConfig,
-    SweepResult,
     SweepRow,
     aggregate_result,
     read_csv,
@@ -95,35 +101,31 @@ class TestConfig:
 
 
 @pytest.fixture(scope="module")
-def tiny_result():
+def tiny_rows():
     return run_sweep(_tiny_config())
 
 
 class TestRunSweep:
     @pytest.fixture
-    def result(self, tiny_result):
-        return tiny_result
+    def rows(self, tiny_rows):
+        return tiny_rows
 
-    def test_row_counts(self, result):
+    def test_row_counts(self, rows):
         # 2 class coverages + mean + abstention for a single (phi, rep) cell
-        metrics = [r.metric for r in result.rows]
+        metrics = [r.metric for r in rows]
         assert metrics == [ABSTENTION_RATE, CLASS_COVERAGE, CLASS_COVERAGE, MEAN_COVERAGE]
-        assert [r.class_label for r in result.rows] == [None, 1, 2, None]
+        assert [r.class_label for r in rows] == [None, 1, 2, None]
 
-    def test_values_in_unit_interval(self, result):
-        assert all(0.0 <= r.value <= 1.0 for r in result.rows)
+    def test_values_in_unit_interval(self, rows):
+        assert all(0.0 <= r.value <= 1.0 for r in rows)
 
-    def test_deterministic(self, result):
+    def test_deterministic(self, rows):
         again = run_sweep(_tiny_config())
-        assert again == result
-
-    def test_thread_count_invariance(self):
-        cfg = _tiny_config(phi_grid=[0.0, 0.3], repetitions=2)
-        assert run_sweep(cfg, threads=1) == run_sweep(cfg, threads=3)
+        assert again == rows
 
     def test_rows_sorted(self):
         cfg = _tiny_config(phi_grid=[0.0, 0.5], repetitions=2)
-        rows = run_sweep(cfg).rows
+        rows = run_sweep(cfg)
         keys = [
             (r.phi, r.repetition, r.metric, -1 if r.class_label is None else r.class_label)
             for r in rows
@@ -134,24 +136,24 @@ class TestRunSweep:
 class TestCsv:
     def test_empty_result_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_csv(SweepResult(rows=()), path)
+        write_csv((), path)
         assert path.read_text() == "experiment,phi,repetition,metric,class,value\n"
 
     def test_one_row_two_lines(self, tmp_path):
         path = tmp_path / "one.csv"
         row = SweepRow("example1", 0.25, 3, MEAN_COVERAGE, None, 0.5)
-        write_csv(SweepResult(rows=(row,)), path)
+        write_csv((row,), path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1] == "example1,0.2500,3,mean_coverage,,0.500000"
 
     def test_round_trip_at_printed_precision(self, tmp_path):
-        result = run_sweep(_tiny_config(phi_grid=[0.0, 0.125], repetitions=2))
+        rows = run_sweep(_tiny_config(phi_grid=[0.0, 0.125], repetitions=2))
         path = tmp_path / "sweep.csv"
-        write_csv(result, path)
+        write_csv(rows, path)
         back = read_csv(path)
-        assert len(back.rows) == len(result.rows)
-        for a, b in zip(back.rows, result.rows):
+        assert len(back) == len(rows)
+        for a, b in zip(back, rows):
             assert (a.experiment, a.repetition, a.metric, a.class_label) == (
                 b.experiment, b.repetition, b.metric, b.class_label
             )
@@ -168,10 +170,68 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             read_csv(path)
 
+    @pytest.mark.parametrize("line,problem", [
+        ("example1,0.1000,0,bogus,,0.500000", "unknown metric 'bogus'"),
+        ("example1,0.1000,0,abstention_rate,,1.500000", "outside"),
+        ("example1,0.1000,0,abstention_rate,,-0.100000", "outside"),
+        ("example1,0.1000,0,abstention_rate,,nan", "outside"),
+        ("example1,0.1000,0,mean_coverage,2,0.500000", "class is given iff"),
+        ("example1,0.1000,0,class_coverage,,0.500000", "class is given iff"),
+    ])
+    def test_read_rejects_invalid_rows(self, tmp_path, line, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "experiment,phi,repetition,metric,class,value\n"
+            "example1,0.1000,0,class_coverage,1,0.900000\n"
+            f"{line}\n"
+        )
+        with pytest.raises(ValueError, match=problem) as err:
+            read_csv(path)
+        assert "line 3" in str(err.value)
+
+
+@st.composite
+def _sweep_rows(draw):
+    metric = draw(st.sampled_from(METRIC_NAMES))
+    return SweepRow(
+        experiment=draw(st.sampled_from(EXPERIMENTS)),
+        # a few shared levels so that groups hold several repetitions
+        phi=draw(st.sampled_from([0.0, 0.05, 1.0]) | st.floats(0.0, 1.0)),
+        repetition=draw(st.integers(0, 10**6 - 1)),
+        metric=metric,
+        class_label=draw(st.integers(0, 3)) if metric == CLASS_COVERAGE else None,
+        value=draw(st.floats(0.0, 1.0)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_sweep_rows(), min_size=1, max_size=30))
+def test_csv_round_trip_and_summary_recount(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
+        write_csv(rows, first)
+        back = read_csv(first)
+        write_csv(back, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    groups: dict = {}
+    for r in back:
+        groups.setdefault((r.phi, r.metric, r.class_label), []).append(r.value)
+    summary = aggregate_result(back)
+    assert [(s.phi, s.metric_name, s.class_label) for s in summary] == sorted(
+        groups, key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2])
+    )
+    for s in summary:
+        values = groups[s.phi, s.metric_name, s.class_label]
+        assert s.n_reps == len(values)
+        assert s.mean == pytest.approx(sum(values) / len(values), rel=1e-12, abs=1e-15)
+        expected_sd = statistics.stdev(values) if len(values) > 1 else 0.0
+        assert s.sd == pytest.approx(expected_sd, rel=1e-9, abs=1e-12)
+
 
 def test_aggregate_result_groups_by_level():
-    result = run_sweep(_tiny_config(phi_grid=[0.0, 0.4], repetitions=2))
-    summary = aggregate_result(result)
+    rows = run_sweep(_tiny_config(phi_grid=[0.0, 0.4], repetitions=2))
+    summary = aggregate_result(rows)
     keys = {(r.phi, r.metric_name, r.class_label) for r in summary}
     assert (0.0, MEAN_COVERAGE, None) in keys
     assert (0.4, CLASS_COVERAGE, 1) in keys
