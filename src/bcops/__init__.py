@@ -5,7 +5,6 @@ from .data import (
     LabeledDataset,
     RngStream,
     UnlabeledDataset,
-    relabel_to_canonical,
     split_in_two,
     stratified_subsample,
 )
@@ -33,7 +32,7 @@ from .metrics import (
     evaluate,
 )
 from .datagen import gen_example1_test, gen_example1_train, gen_example2
-from .mnist import IdxFormatError, MnistSource, RawDigitDataset, filter_digits, load_mnist
+from .mnist import IdxFormatError, load_mnist
 from .sweep import ExperimentConfig, SweepRow, read_csv, run_sweep, write_csv
 from .svgplot import render_lineplot
 

@@ -19,6 +19,7 @@ from .svgplot import render_lineplot
 from .sweep import (
     ExperimentConfig,
     aggregate_result,
+    check_mnist_per_class,
     prepare_mnist,
     read_csv,
     run_metadata,
@@ -73,12 +74,13 @@ def _cmd_plot(args) -> int:
 def _cmd_validate(args) -> int:
     config = _load_config(args.config)
     if config.experiment == "mnist":
-        ctx = prepare_mnist(config.mnist_paths)
-        n_features = ctx.train.features.shape[1]
-        detail = f"train rows={ctx.train.n_rows} (digits 0-5), test rows={ctx.test.n_rows}"
+        train, test = prepare_mnist(config.mnist_paths)
+        check_mnist_per_class(train, config.mnist_per_class)
+        n_features = train.n_features
+        detail = f"train rows={train.n_rows} (digits 0-5), test rows={test.n_rows}"
     else:
         n_features = datagen._P
-        detail = f"phi levels={len(config.phi_grid)}, repetitions={config.resolved_repetitions}"
+        detail = f"phi levels={len(config.phi_grid)}, repetitions={config.repetitions}"
     if config.forest.mtry is not None and config.forest.mtry > n_features:
         raise ValueError(
             f"forest.mtry={config.forest.mtry} exceeds the {n_features} features "

@@ -145,10 +145,10 @@ def conformal_p_values(model: BcopsModel) -> np.ndarray:
     return pv
 
 
-def predict_all(model: BcopsModel, alpha: float | None = None) -> np.ndarray:
+def predict_all(model: BcopsModel) -> np.ndarray:
     """(n_test, K) boolean membership matrix, rows in test order.
 
-    Column k-1 holds class k: True iff its p-value exceeds alpha. An
-    all-False row is an abstention.
+    Column k-1 holds class k: True iff its p-value exceeds the model's
+    alpha. An all-False row is an abstention.
     """
-    return conformal_p_values(model) > (model.alpha if alpha is None else alpha)
+    return conformal_p_values(model) > model.alpha

@@ -1,8 +1,8 @@
 """Core data containers, deterministic RNG streams, and row-splitting helpers.
 
 Class labels are canonical integers 1..K everywhere inside the library.
-External label alphabets (e.g. MNIST digits) are mapped on ingestion via
-:func:`relabel_to_canonical`. Ground-truth outliers are marked with
+MNIST digits are mapped to classes on ingestion by the fixed table of
+``sweep.prepare_mnist``. Ground-truth outliers are marked with
 ``OUTLIER`` (0), which is never a valid class label.
 """
 
@@ -31,9 +31,10 @@ def _splitmix64(x: int) -> int:
 class RngStream:
     """A reproducible random stream identified by (seed, stream_id).
 
-    The same pair yields an identical draw sequence across runs and thread
-    schedules. Parallel tasks must each derive their own child stream via
-    :meth:`derive`; streams are values and are never shared mutably.
+    The same pair yields an identical draw sequence on every run. Each task
+    derives its own child stream via :meth:`derive`, so its draws do not
+    depend on how many draws other tasks made; streams are values and are
+    never shared mutably.
     """
 
     seed: int
@@ -145,15 +146,3 @@ def stratified_subsample(data: LabeledDataset, per_class: int, rng: RngStream) -
         chosen.append(g.choice(idx, size=per_class, replace=False))
     keep = np.sort(np.concatenate(chosen)) if chosen else np.empty(0, dtype=np.int64)
     return LabeledDataset(data.features[keep], data.labels[keep], data.class_count)
-
-
-def relabel_to_canonical(raw_labels) -> tuple[np.ndarray, dict]:
-    """Map arbitrary label tokens to canonical 1..K by sorted order.
-
-    Returns the canonical labels and the raw->canonical mapping so reports
-    can invert it.
-    """
-    raw = list(raw_labels)
-    distinct = sorted(set(raw))
-    mapping = {tok: i + 1 for i, tok in enumerate(distinct)}
-    return np.array([mapping[t] for t in raw], dtype=np.int64), mapping

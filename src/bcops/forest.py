@@ -3,8 +3,8 @@
 CART trees grown on bootstrap resamples, best-of-mtry Gini splits, leaf
 probability = raw fraction of target-1 rows in the leaf (no smoothing; only
 the score ordering matters downstream). Tree t draws from a stream derived
-from (seed_stream, t), so the fitted forest is identical under any
-parallel schedule.
+from (seed_stream, t), so its draws do not depend on the trees grown
+before it.
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ class BinaryTrainingSet:
         object.__setattr__(self, "targets", targets)
 
 
+def check_count(name: str, value) -> None:
+    """Fail unless value is an integer (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 100
@@ -45,12 +53,8 @@ class ForestConfig:
     def __post_init__(self) -> None:
         for name in ("n_trees", "min_node_size", "mtry", "max_depth"):
             value = getattr(self, name)
-            if value is None and name in ("mtry", "max_depth"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if value is not None or name not in ("mtry", "max_depth"):
+                check_count(name, value)
 
 
 class _Tree:

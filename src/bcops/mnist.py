@@ -5,14 +5,13 @@ count, rows (28) and cols (28) as 32-bit fields, then unsigned pixel bytes
 row-major; labels carry magic 0x00000801, count, then unsigned byte labels.
 Files may be raw or gzip-compressed (detected by the 0x1f8b prefix).
 Pixels are scaled to [0, 1]; digit labels are kept raw (0..9) and mapped to
-canonical classes downstream via relabel_to_canonical.
+classes by the mnist experiment (``sweep.prepare_mnist``).
 """
 
 from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,25 +24,6 @@ IMAGE_COLS = 28
 
 class IdxFormatError(ValueError):
     """Raised for malformed IDX payloads; messages name the byte offset."""
-
-
-@dataclass(frozen=True)
-class MnistSource:
-    images_path: str
-    labels_path: str
-    role: str = "train"  # "train" | "test"
-
-
-@dataclass(frozen=True)
-class RawDigitDataset:
-    """Pixel features with raw digit labels 0..9 (pre-canonicalization)."""
-
-    features: np.ndarray
-    digits: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return self.features.shape[0]
 
 
 def _read_payload(path) -> bytes:
@@ -97,18 +77,13 @@ def serialize_idx_labels(labels: np.ndarray) -> bytes:
     return struct.pack(">II", LABELS_MAGIC, labels.shape[0]) + labels.tobytes()
 
 
-def load_mnist(source: MnistSource) -> RawDigitDataset:
-    """Parse an (images, labels) pair into pixels scaled to [0, 1]."""
-    images = parse_idx_images(_read_payload(source.images_path))
-    labels = parse_idx_labels(_read_payload(source.labels_path))
+def load_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse an (images, labels) pair into pixels scaled to [0, 1] and the
+    raw digit of each row."""
+    images = parse_idx_images(_read_payload(images_path))
+    labels = parse_idx_labels(_read_payload(labels_path))
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
         )
-    return RawDigitDataset(images.astype(np.float64) / 255.0, labels.astype(np.int64))
-
-
-def filter_digits(data: RawDigitDataset, keep) -> RawDigitDataset:
-    """Keep rows whose raw digit is in ``keep``, preserving order."""
-    mask = np.isin(data.digits, sorted(keep))
-    return RawDigitDataset(data.features[mask], data.digits[mask])
+    return images.astype(np.float64) / 255.0, labels.astype(np.int64)

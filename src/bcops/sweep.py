@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .conformal import fit_bcops, predict_all
-from .data import OUTLIER, LabeledDataset, RngStream, UnlabeledDataset, relabel_to_canonical, stratified_subsample
+from .data import OUTLIER, LabeledDataset, RngStream, UnlabeledDataset, stratified_subsample
 from .datagen import gen_example1_test, gen_example1_train, gen_example2
-from .forest import ForestConfig
+from .forest import ForestConfig, check_count
 from .metrics import CLASS_COVERAGE, METRIC_NAMES, SummaryRow, class_order, evaluate
-from .mnist import MnistSource, filter_digits, load_mnist
+from .mnist import load_mnist
 from .noise import CorruptionSpec, corrupt_labels
 
 EXPERIMENTS = ("example1", "example2", "mnist")
@@ -27,16 +27,12 @@ _STREAMS_PER_PHI = 10**6
 STREAM_ID_FORMULA = "stream_id = phi_index * 10**6 + repetition"
 CSV_HEADER = ["experiment", "phi", "repetition", "metric", "class", "value"]
 
+# Class k of the mnist experiment is digit _MNIST_TRAIN_DIGITS[k - 1]; test
+# rows of any other label are outliers.
 _MNIST_TRAIN_DIGITS = (0, 1, 2, 3, 4, 5)
 _DEFAULT_PHI_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 _DEFAULT_REPETITIONS = {"example1": 100, "example2": 20, "mnist": 5}
 
-_FOREST_KEYS = ("n_trees", "mtry", "min_node_size", "max_depth")
-_CONFIG_KEYS = (
-    "experiment", "alpha", "phi_grid", "repetitions", "forest", "seed",
-    "mnist_paths", "mnist_per_class", "inclusive_resampling", "output_dir",
-    "imbalance_cap",
-)
 _MNIST_PATH_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
@@ -65,7 +61,10 @@ class ExperimentConfig:
             raise ValueError("phi_grid values must lie in [0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("phi_grid must be strictly ascending")
-        if self.repetitions is not None and not 1 <= self.repetitions < _STREAMS_PER_PHI:
+        if self.repetitions is None:
+            object.__setattr__(self, "repetitions", _DEFAULT_REPETITIONS[self.experiment])
+        check_count("repetitions", self.repetitions)
+        if self.repetitions >= _STREAMS_PER_PHI:
             # a larger count would reuse the streams of the next phi index
             raise ValueError(f"repetitions must lie in 1..{_STREAMS_PER_PHI - 1}")
         if not self.imbalance_cap > 0:
@@ -78,51 +77,32 @@ class ExperimentConfig:
                 raise ValueError(f"mnist_paths missing field(s): {', '.join(missing)}")
             if self.mnist_per_class is None:
                 object.__setattr__(self, "mnist_per_class", 500)
-
-    @property
-    def resolved_repetitions(self) -> int:
-        if self.repetitions is not None:
-            return self.repetitions
-        return _DEFAULT_REPETITIONS[self.experiment]
+        if self.mnist_per_class is not None:
+            check_count("mnist_per_class", self.mnist_per_class)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+        """Build a config from parsed JSON; a null value means the default."""
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
-        if "experiment" not in raw:
+        if raw.get("experiment") is None:
             raise ValueError("config field 'experiment' is required")
         kwargs = dict(raw)
         forest_raw = kwargs.pop("forest", {}) or {}
-        unknown = sorted(set(forest_raw) - set(_FOREST_KEYS))
+        forest_keys = {f.name for f in fields(ForestConfig)} - {"seed_stream"}
+        unknown = sorted(set(forest_raw) - forest_keys)
         if unknown:
             raise ValueError(f"unknown forest field(s): {', '.join(unknown)}")
         kwargs["forest"] = ForestConfig(**forest_raw)
-        if "phi_grid" in kwargs and kwargs["phi_grid"] is not None:
-            kwargs["phi_grid"] = tuple(kwargs["phi_grid"])
-        else:
-            kwargs.pop("phi_grid", None)
-        return cls(**{k: v for k, v in kwargs.items() if v is not None or k in ("repetitions",)})
+        return cls(**{k: v for k, v in kwargs.items() if v is not None})
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "alpha": self.alpha,
-            "phi_grid": list(self.phi_grid),
-            "repetitions": self.resolved_repetitions,
-            "forest": {
-                "n_trees": self.forest.n_trees,
-                "mtry": self.forest.mtry,
-                "min_node_size": self.forest.min_node_size,
-                "max_depth": self.forest.max_depth,
-            },
-            "seed": self.seed,
-            "mnist_paths": self.mnist_paths,
-            "mnist_per_class": self.mnist_per_class,
-            "inclusive_resampling": self.inclusive_resampling,
-            "output_dir": self.output_dir,
-            "imbalance_cap": self.imbalance_cap,
-        }
+        """The fields in declaration order, as JSON values."""
+        out = asdict(self)
+        out["phi_grid"] = list(self.phi_grid)
+        del out["forest"]["seed_stream"]
+        return out
 
 
 @dataclass(frozen=True)
@@ -135,29 +115,35 @@ class SweepRow:
     value: float
 
 
-@dataclass(frozen=True)
-class _MnistContext:
-    train: LabeledDataset
-    test: UnlabeledDataset
-    display_labels: dict  # canonical class -> raw digit
+def prepare_mnist(paths: dict) -> tuple[LabeledDataset, UnlabeledDataset]:
+    """Load the IDX pairs. Training keeps the rows of _MNIST_TRAIN_DIGITS as
+    classes 1..6; a test row of any other label is an outlier. A training
+    file without rows of one of those digits fails."""
+    digit_class = np.full(256, OUTLIER, dtype=np.int64)  # IDX labels are bytes
+    digit_class[list(_MNIST_TRAIN_DIGITS)] = np.arange(1, len(_MNIST_TRAIN_DIGITS) + 1)
+
+    features, digits = load_mnist(paths["train_images"], paths["train_labels"])
+    labels = digit_class[digits]
+    counts = np.bincount(labels, minlength=len(_MNIST_TRAIN_DIGITS) + 1)
+    missing = [str(d) for k, d in enumerate(_MNIST_TRAIN_DIGITS, 1) if counts[k] == 0]
+    if missing:
+        raise ValueError(f"{paths['train_labels']}: no training rows of digit {', '.join(missing)}")
+    keep = labels != OUTLIER
+    train = LabeledDataset(features[keep], labels[keep], len(_MNIST_TRAIN_DIGITS))
+
+    features, digits = load_mnist(paths["test_images"], paths["test_labels"])
+    return train, UnlabeledDataset(features, digit_class[digits])
 
 
-def prepare_mnist(paths: dict) -> _MnistContext:
-    """Load the IDX pairs, keep digits 0..5 for training, and mark test
-    digits outside that set as outliers."""
-    train_raw = filter_digits(
-        load_mnist(MnistSource(paths["train_images"], paths["train_labels"], "train")),
-        _MNIST_TRAIN_DIGITS,
-    )
-    labels, mapping = relabel_to_canonical(train_raw.digits.tolist())
-    train = LabeledDataset(train_raw.features, labels, class_count=len(mapping))
-
-    test_raw = load_mnist(MnistSource(paths["test_images"], paths["test_labels"], "test"))
-    truth = np.array(
-        [mapping.get(int(d), OUTLIER) for d in test_raw.digits], dtype=np.int64
-    )
-    test = UnlabeledDataset(test_raw.features, truth)
-    return _MnistContext(train, test, {v: k for k, v in mapping.items()})
+def check_mnist_per_class(train: LabeledDataset, per_class: int) -> None:
+    """Fail unless every training digit has at least per_class rows."""
+    counts = np.bincount(train.labels, minlength=train.class_count + 1)[1:]
+    k = int(np.argmin(counts))
+    if per_class > counts[k]:
+        raise ValueError(
+            f"mnist_per_class={per_class} exceeds the {counts[k]} training rows "
+            f"of digit {_MNIST_TRAIN_DIGITS[k]}"
+        )
 
 
 def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
@@ -172,11 +158,9 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
     elif config.experiment == "example2":
         train, test = gen_example2(data_rng)
     else:
-        train = mnist_ctx.train
-        if config.mnist_per_class is not None:
-            train = stratified_subsample(train, config.mnist_per_class, data_rng)
-        test = mnist_ctx.test
-        display = mnist_ctx.display_labels
+        train, test = mnist_ctx
+        train = stratified_subsample(train, config.mnist_per_class, data_rng)
+        display = dict(enumerate(_MNIST_TRAIN_DIGITS, 1))
 
     spec = CorruptionSpec(phi, train.class_count, config.inclusive_resampling)
     noisy = corrupt_labels(train.labels, spec, noise_rng)
@@ -207,7 +191,7 @@ def run_sweep(config: ExperimentConfig) -> tuple:
     mnist_ctx = prepare_mnist(config.mnist_paths) if config.experiment == "mnist" else None
     rows = []
     for i, phi in enumerate(config.phi_grid):
-        for r in range(config.resolved_repetitions):
+        for r in range(config.repetitions):
             try:
                 rows += _run_cell(config, mnist_ctx, i, r)
             except Exception as exc:
@@ -248,8 +232,10 @@ def write_csv(rows, path) -> None:
 
 
 def read_csv(path) -> tuple:
-    """Rows of a sweep CSV; a row with an unknown metric, a class on a metric
-    other than class_coverage (or none on it) or a value outside [0, 1] fails."""
+    """Rows of a sweep CSV; a row without six fields, with a non-numeric phi,
+    repetition, class or value, with an unknown metric, with a class on a
+    metric other than class_coverage (or none on it) or with a value outside
+    [0, 1] fails, naming the file and line."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -258,16 +244,21 @@ def read_csv(path) -> tuple:
             raise ValueError(f"{path}: unexpected CSV header {header}")
         rows = []
         for rec in reader:
-            exp, phi, rep, metric, cls, value = rec
-            row = SweepRow(
-                experiment=exp,
-                phi=float(phi),
-                repetition=int(rep),
-                metric=metric,
-                class_label=None if cls == "" else int(cls),
-                value=float(value),
-            )
             where = f"{path}, line {reader.line_num}"
+            if len(rec) != len(CSV_HEADER):
+                raise ValueError(f"{where}: expected {len(CSV_HEADER)} fields, got {len(rec)}")
+            exp, phi, rep, metric, cls, value = rec
+            try:
+                row = SweepRow(
+                    experiment=exp,
+                    phi=float(phi),
+                    repetition=int(rep),
+                    metric=metric,
+                    class_label=None if cls == "" else int(cls),
+                    value=float(value),
+                )
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             if metric not in METRIC_NAMES:
                 raise ValueError(f"{where}: unknown metric {metric!r}")
             if (row.class_label is None) == (metric == CLASS_COVERAGE):

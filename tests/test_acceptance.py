@@ -17,14 +17,13 @@ import numpy as np
 import pytest
 
 from bcops.cli import cli_main
-from bcops.conformal import conformal_p_value, conformal_p_values, fit_bcops, predict_all
+from bcops.conformal import conformal_p_value, conformal_p_values, fit_bcops
 from bcops.data import OUTLIER, RngStream
 from bcops.datagen import gen_example1_test, gen_example1_train
 from bcops.forest import ForestConfig
 from bcops.metrics import ABSTENTION_RATE, CLASS_COVERAGE, MEAN_COVERAGE, evaluate
-from bcops.mnist import MnistSource, filter_digits, load_mnist
 from bcops.noise import CorruptionSpec, corrupt_labels
-from bcops.sweep import ExperimentConfig, run_sweep
+from bcops.sweep import ExperimentConfig, prepare_mnist, run_sweep
 
 SEED = 20260823
 EX1_FOREST = {"n_trees": 40, "min_node_size": 25, "max_depth": 12}
@@ -220,8 +219,9 @@ def ex1_fitted_model():
 
 def test_criterion_8_alpha_monotonicity(ex1_fitted_model):
     model, _ = ex1_fitted_model
-    loose = predict_all(model, alpha=0.01)
-    tight = predict_all(model, alpha=0.10)
+    pv = conformal_p_values(model)
+    loose = pv > 0.01
+    tight = pv > 0.10
     violations = sum(
         1 for t, l in zip(tight, loose) if any(ti and not li for ti, li in zip(t, l))
     )
@@ -282,9 +282,8 @@ def test_criterion_10_mnist_desk_scale():
                 f"SKIPPED: set {MNIST_ENV} to a directory with the IDX files")
         pytest.skip(f"MNIST IDX files not available; set {MNIST_ENV}")
 
-    train = load_mnist(MnistSource(paths["train_images"], paths["train_labels"]))
-    kept = filter_digits(train, range(6))
-    assert kept.n_rows == 36_017, f"digits 0-5 filter yielded {kept.n_rows} rows"
+    train, _ = prepare_mnist(paths)
+    assert train.n_rows == 36_017, f"digits 0-5 filter yielded {train.n_rows} rows"
 
     config = ExperimentConfig.from_dict({
         "experiment": "mnist",

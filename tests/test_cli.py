@@ -54,6 +54,28 @@ def test_validate_mnist_dry_run(tmp_path, capsys):
     assert "784 features" in capsys.readouterr().err
 
 
+def _write_idx_pair(tmp_path, role, digits):
+    img = tmp_path / f"{role}-images"
+    lab = tmp_path / f"{role}-labels"
+    img.write_bytes(serialize_idx_images(np.zeros((len(digits), 784), dtype=np.uint8)))
+    lab.write_bytes(serialize_idx_labels(np.asarray(digits, dtype=np.uint8)))
+    return {f"{role}_images": str(img), f"{role}_labels": str(lab)}
+
+
+@pytest.mark.parametrize("train_digits,per_class,message", [
+    ([0, 1, 2, 4, 5] * 3, 1, "no training rows of digit 3"),
+    ([0, 1, 2, 3, 4, 5] * 3 + [0, 1, 2, 4, 5], 4, "exceeds the 3 training rows of digit 3"),
+    ([0, 1, 2, 3, 4, 5], 0, "mnist_per_class must be >= 1"),
+    ([0, 1, 2, 3, 4, 5], 2.5, "mnist_per_class must be an integer"),
+])
+def test_validate_rejects_mnist_inputs(tmp_path, capsys, train_digits, per_class, message):
+    files = {**_write_idx_pair(tmp_path, "train", train_digits),
+             **_write_idx_pair(tmp_path, "test", [0, 6])}
+    cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=per_class)
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_mnist_without_paths_fails_naming_field(tmp_path, capsys):
     cfg = _write_config(tmp_path, experiment="mnist")
     code = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -126,6 +148,24 @@ def test_plot_rejects_bad_csv_row(tmp_path, capsys, metric, value, message):
     argv = ["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(out)]
     assert cli_main(argv) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("", "expected 6 fields, got 0"),
+    ("example1,abc,0,abstention_rate,,0.500000", "could not convert string to float: 'abc'"),
+])
+def test_plot_names_line_of_malformed_row(tmp_path, capsys, line, message):
+    csv_path = tmp_path / "sweep.csv"
+    csv_path.write_text(
+        "experiment,phi,repetition,metric,class,value\n"
+        "example1,0.0000,0,mean_coverage,,0.900000\n"
+        f"{line}\n"
+    )
+    out = tmp_path / "plot.svg"
+    argv = ["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert f"{csv_path}, line 3: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,7 +5,6 @@ from bcops.data import (
     LabeledDataset,
     RngStream,
     UnlabeledDataset,
-    relabel_to_canonical,
     split_in_two,
     stratified_subsample,
 )
@@ -108,21 +107,6 @@ class TestStratifiedSubsample:
     def test_insufficient_rows_names_class(self):
         with pytest.raises(ValueError, match="class 1"):
             stratified_subsample(_dataset(10, 2), 11, RngStream(0))
-
-
-class TestRelabelToCanonical:
-    def test_sort_order_mapping(self):
-        labels, mapping = relabel_to_canonical([0, 5, 0, 3])
-        assert labels.tolist() == [1, 3, 1, 2]
-        assert mapping == {0: 1, 3: 2, 5: 3}
-
-    def test_empty(self):
-        labels, mapping = relabel_to_canonical([])
-        assert labels.tolist() == [] and mapping == {}
-
-    def test_lexicographic(self):
-        labels, _ = relabel_to_canonical(["b", "a"])
-        assert labels.tolist() == [2, 1]
 
 
 class TestContainers:

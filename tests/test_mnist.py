@@ -3,16 +3,16 @@ import gzip
 import numpy as np
 import pytest
 
+from bcops.data import OUTLIER
 from bcops.mnist import (
     IdxFormatError,
-    MnistSource,
-    filter_digits,
     load_mnist,
     parse_idx_images,
     parse_idx_labels,
     serialize_idx_images,
     serialize_idx_labels,
 )
+from bcops.sweep import prepare_mnist
 
 
 @pytest.fixture
@@ -29,16 +29,16 @@ def sample_pair(tmp_path):
 
 def test_round_trip(sample_pair):
     images, digits, img_path, lab_path = sample_pair
-    data = load_mnist(MnistSource(str(img_path), str(lab_path)))
-    assert data.n_rows == 30
-    assert np.array_equal(data.digits, digits)
-    assert np.allclose(data.features * 255.0, images)
+    features, loaded = load_mnist(img_path, lab_path)
+    assert features.shape == (30, 784)
+    assert np.array_equal(loaded, digits)
+    assert np.allclose(features * 255.0, images)
 
 
 def test_pixels_scaled_to_unit_interval(sample_pair):
     _, _, img_path, lab_path = sample_pair
-    data = load_mnist(MnistSource(str(img_path), str(lab_path)))
-    assert data.features.min() >= 0.0 and data.features.max() <= 1.0
+    features, _ = load_mnist(img_path, lab_path)
+    assert features.min() >= 0.0 and features.max() <= 1.0
 
 
 def test_gzip_detection(sample_pair, tmp_path):
@@ -47,8 +47,8 @@ def test_gzip_detection(sample_pair, tmp_path):
     gz_lab = tmp_path / "labels.gz"
     gz_img.write_bytes(gzip.compress(img_path.read_bytes()))
     gz_lab.write_bytes(gzip.compress(lab_path.read_bytes()))
-    data = load_mnist(MnistSource(str(gz_img), str(gz_lab)))
-    assert np.array_equal(data.digits, digits)
+    _, loaded = load_mnist(gz_img, gz_lab)
+    assert np.array_equal(loaded, digits)
 
 
 def test_header_round_trip(sample_pair):
@@ -93,13 +93,38 @@ def test_count_mismatch(sample_pair, tmp_path):
     short = tmp_path / "short-labels"
     short.write_bytes(serialize_idx_labels(np.zeros(7, dtype=np.uint8)))
     with pytest.raises(IdxFormatError, match="count mismatch"):
-        load_mnist(MnistSource(str(img_path), str(short)))
+        load_mnist(img_path, short)
 
 
-def test_filter_digits(sample_pair):
-    images, digits, img_path, lab_path = sample_pair
-    data = load_mnist(MnistSource(str(img_path), str(lab_path)))
-    assert np.array_equal(filter_digits(data, range(10)).digits, digits)
-    assert filter_digits(data, set()).n_rows == 0
-    kept = filter_digits(data, {0, 1, 2, 3, 4, 5})
-    assert np.array_equal(kept.digits, digits[digits <= 5])
+def _write_pair(tmp_path, role, digits):
+    images = np.arange(len(digits) * 784, dtype=np.int64).reshape(-1, 784) % 256
+    img_path = tmp_path / f"{role}-images"
+    lab_path = tmp_path / f"{role}-labels"
+    img_path.write_bytes(serialize_idx_images(images))
+    lab_path.write_bytes(serialize_idx_labels(np.asarray(digits, dtype=np.uint8)))
+    return {f"{role}_images": str(img_path), f"{role}_labels": str(lab_path)}
+
+
+def test_prepare_mnist_fixed_digit_classes(tmp_path):
+    train_digits = [7, 0, 5, 1, 9, 2, 3, 4, 6, 5, 8, 0]
+    test_digits = [0, 6, 1, 2, 3, 7, 4, 5, 8, 9, 12, 255]
+    paths = {**_write_pair(tmp_path, "train", train_digits), **_write_pair(tmp_path, "test", test_digits)}
+    train, test = prepare_mnist(paths)
+    # digits 6-9 leave the training set; digit d is class d + 1
+    kept = [d for d in train_digits if d <= 5]
+    assert train.class_count == 6
+    assert train.labels.tolist() == [d + 1 for d in kept]
+    features, _ = load_mnist(paths["train_images"], paths["train_labels"])
+    assert np.array_equal(train.features, features[np.array(train_digits) <= 5])
+    # digits 6-9 and label bytes outside 0-9 are outliers
+    assert test.ground_truth.tolist() == [1, OUTLIER, 2, 3, 4, OUTLIER, 5, 6] + [OUTLIER] * 4
+    assert test.n_rows == len(test_digits)
+
+
+def test_prepare_mnist_rejects_missing_training_digit(tmp_path):
+    paths = {
+        **_write_pair(tmp_path, "train", [0, 1, 2, 4, 5, 6, 7]),
+        **_write_pair(tmp_path, "test", [0, 3]),
+    }
+    with pytest.raises(ValueError, match="no training rows of digit 3"):
+        prepare_mnist(paths)

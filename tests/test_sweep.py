@@ -38,18 +38,19 @@ class TestConfig:
         assert cfg.alpha == 0.05
         assert cfg.phi_grid[0] == 0.0 and cfg.phi_grid[-1] == 1.0
         assert len(cfg.phi_grid) == 21
-        assert cfg.resolved_repetitions == 100
+        assert cfg.repetitions == 100
 
     def test_per_experiment_repetition_defaults(self):
-        assert ExperimentConfig.from_dict({"experiment": "example2"}).resolved_repetitions == 20
+        assert ExperimentConfig.from_dict({"experiment": "example2"}).repetitions == 20
 
     def test_unknown_field(self):
         with pytest.raises(ValueError, match="unknown config field"):
             ExperimentConfig.from_dict({"experiment": "example1", "bogus": 1})
 
     def test_unknown_forest_field(self):
-        with pytest.raises(ValueError, match="unknown forest field"):
-            ExperimentConfig.from_dict({"experiment": "example1", "forest": {"trees": 5}})
+        for bad in ({"trees": 5}, {"seed_stream": 1}):
+            with pytest.raises(ValueError, match="unknown forest field"):
+                ExperimentConfig.from_dict({"experiment": "example1", "forest": bad})
 
     def test_missing_experiment(self):
         with pytest.raises(ValueError, match="experiment"):
@@ -81,8 +82,8 @@ class TestConfig:
 
     def test_repetitions_below_stream_block(self):
         # cell streams are phi_index * 10**6 + repetition
-        assert _tiny_config(repetitions=10**6 - 1).resolved_repetitions == 10**6 - 1
-        for reps in (0, 10**6):
+        assert _tiny_config(repetitions=10**6 - 1).repetitions == 10**6 - 1
+        for reps in (0, 10**6, 2.5, True):
             with pytest.raises(ValueError, match="repetitions"):
                 _tiny_config(repetitions=reps)
 
@@ -97,7 +98,26 @@ class TestConfig:
             "mnist_paths": {k: "x" for k in ("train_images", "train_labels", "test_images", "test_labels")},
         })
         assert cfg.mnist_per_class == 500
-        assert cfg.resolved_repetitions == 5
+        assert cfg.repetitions == 5
+
+    def test_mnist_per_class_validated_at_load(self):
+        paths = {k: "x" for k in ("train_images", "train_labels", "test_images", "test_labels")}
+        for bad in (0, -1, 2.5, True, "10"):
+            with pytest.raises(ValueError, match="mnist_per_class"):
+                ExperimentConfig.from_dict(
+                    {"experiment": "mnist", "mnist_paths": paths, "mnist_per_class": bad}
+                )
+
+    def test_to_dict_lists_fields_in_order(self):
+        cfg = _tiny_config(phi_grid=[0.0, 0.5], imbalance_cap=2.0)
+        out = cfg.to_dict()
+        assert list(out) == [
+            "experiment", "alpha", "phi_grid", "repetitions", "forest", "seed", "mnist_paths",
+            "mnist_per_class", "inclusive_resampling", "output_dir", "imbalance_cap",
+        ]
+        assert out["phi_grid"] == [0.0, 0.5]
+        assert out["forest"] == {"n_trees": 4, "mtry": None, "min_node_size": 120, "max_depth": 5}
+        assert ExperimentConfig.from_dict(out) == cfg
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +197,13 @@ class TestCsv:
         ("example1,0.1000,0,abstention_rate,,nan", "outside"),
         ("example1,0.1000,0,mean_coverage,2,0.500000", "class is given iff"),
         ("example1,0.1000,0,class_coverage,,0.500000", "class is given iff"),
+        ("", "expected 6 fields, got 0"),
+        ("example1,0.1000,0,mean_coverage,0.500000", "expected 6 fields, got 5"),
+        ("example1,0.1000,0,mean_coverage,,0.5,1", "expected 6 fields, got 7"),
+        ("example1,abc,0,mean_coverage,,0.500000", "could not convert string to float: 'abc'"),
+        ("example1,0.1000,x,mean_coverage,,0.500000", "invalid literal for int"),
+        ("example1,0.1000,0,class_coverage,one,0.500000", "invalid literal for int"),
+        ("example1,0.1000,0,mean_coverage,,high", "could not convert string to float: 'high'"),
     ])
     def test_read_rejects_invalid_rows(self, tmp_path, line, problem):
         path = tmp_path / "bad.csv"
