@@ -1,8 +1,9 @@
 """Command-line entry points: run sweeps, plot CSV results, validate configs.
 
 Config files are JSON with the ExperimentConfig field names. Flag overrides
-win over the file. Sweep cells run in order on one thread; --threads is
-accepted and ignored.
+win over the file. ``validate`` loads the config and makes the checks of
+``sweep.check_inputs``; ``run`` makes the same checks before its first cell.
+Sweep cells run in order on one thread; --threads is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -13,14 +14,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import datagen
 from .metrics import METRIC_NAMES
 from .svgplot import render_lineplot
 from .sweep import (
     ExperimentConfig,
     aggregate_result,
-    check_mnist_per_class,
-    prepare_mnist,
+    check_inputs,
     read_csv,
     run_metadata,
     run_sweep,
@@ -50,7 +49,6 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out or config.output_dir or "results")
 
     rows = run_sweep(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(rows, out_dir / "sweep.csv")
     summary = aggregate_result(rows)
     write_summary_csv(summary, out_dir / "summary.csv")
@@ -73,19 +71,11 @@ def _cmd_plot(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = _load_config(args.config)
-    if config.experiment == "mnist":
-        train, test = prepare_mnist(config.mnist_paths)
-        check_mnist_per_class(train, config.mnist_per_class)
-        n_features = train.n_features
-        detail = f"train rows={train.n_rows} (digits 0-5), test rows={test.n_rows}"
-    else:
-        n_features = datagen._P
+    mnist_ctx = check_inputs(config)
+    if mnist_ctx is None:
         detail = f"phi levels={len(config.phi_grid)}, repetitions={config.repetitions}"
-    if config.forest.mtry is not None and config.forest.mtry > n_features:
-        raise ValueError(
-            f"forest.mtry={config.forest.mtry} exceeds the {n_features} features "
-            f"of experiment {config.experiment}"
-        )
+    else:
+        detail = f"train rows={mnist_ctx[0].n_rows} (digits 0-5), test rows={mnist_ctx[1].n_rows}"
     print(f"config ok: experiment={config.experiment}, {detail}")
     return 0
 

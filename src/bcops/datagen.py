@@ -11,14 +11,14 @@ import numpy as np
 
 from .data import OUTLIER, LabeledDataset, RngStream, UnlabeledDataset
 
-_P = 10
+N_FEATURES = 10
 
 
 def gen_example1_train(rng: RngStream) -> LabeledDataset:
     """Two classes, 500 rows each: coordinate 1 is N(0,1) for class 1 and
     N(3, 0.5) for class 2; the other nine coordinates are N(0,1)."""
     g = rng.generator()
-    x = g.normal(0.0, 1.0, size=(1000, _P))
+    x = g.normal(0.0, 1.0, size=(1000, N_FEATURES))
     x[500:, 0] = g.normal(3.0, 0.5, size=500)
     labels = np.repeat([1, 2], 500)
     return LabeledDataset(x, labels, class_count=2)
@@ -28,7 +28,7 @@ def gen_example1_test(rng: RngStream) -> UnlabeledDataset:
     """1500 rows: 500 per training class plus 500 outliers whose coordinate 2
     is N(3, 1)."""
     g = rng.generator()
-    x = g.normal(0.0, 1.0, size=(1500, _P))
+    x = g.normal(0.0, 1.0, size=(1500, N_FEATURES))
     x[500:1000, 0] = g.normal(3.0, 0.5, size=500)
     x[1000:, 1] = g.normal(3.0, 1.0, size=500)
     truth = np.concatenate([np.repeat([1, 2], 500), np.full(500, OUTLIER)])
@@ -42,18 +42,18 @@ def gen_example2(rng: RngStream) -> tuple[LabeledDataset, UnlabeledDataset]:
     g = rng.generator()
 
     def class_block(count: int) -> np.ndarray:
-        x = g.normal(0.0, 1.0, size=(count * _P, _P))
-        for y in range(_P):
+        x = g.normal(0.0, 1.0, size=(count * N_FEATURES, N_FEATURES))
+        for y in range(N_FEATURES):
             x[y * count : (y + 1) * count, y] = g.normal(3.0, 0.5, size=count)
         return x
 
     train_x = class_block(500)
-    train_labels = np.repeat(np.arange(1, _P + 1), 500)
+    train_labels = np.repeat(np.arange(1, N_FEATURES + 1), 500)
 
-    test_x = np.vstack([class_block(500), g.normal(3.0, 2.0, size=(500, _P))])
-    truth = np.concatenate([np.repeat(np.arange(1, _P + 1), 500), np.full(500, OUTLIER)])
+    test_x = np.vstack([class_block(500), g.normal(3.0, 2.0, size=(500, N_FEATURES))])
+    truth = np.concatenate([np.repeat(np.arange(1, N_FEATURES + 1), 500), np.full(500, OUTLIER)])
 
     return (
-        LabeledDataset(train_x, train_labels, class_count=_P),
+        LabeledDataset(train_x, train_labels, class_count=N_FEATURES),
         UnlabeledDataset(test_x, truth),
     )

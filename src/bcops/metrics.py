@@ -25,9 +25,9 @@ class MetricRecord:
         if self.metric_name not in METRIC_NAMES:
             raise ValueError(f"unknown metric {self.metric_name!r}")
         if (self.class_label is not None) != (self.metric_name == CLASS_COVERAGE):
-            raise ValueError("class_label present iff metric is class_coverage")
+            raise ValueError(f"a class is given iff the metric is {CLASS_COVERAGE}")
         if not 0.0 <= self.value <= 1.0:
-            raise ValueError("metric value must lie in [0, 1]")
+            raise ValueError(f"value {self.value} lies outside [0, 1]")
 
 
 def evaluate(include, truth) -> list[MetricRecord]:

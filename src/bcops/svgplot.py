@@ -26,16 +26,25 @@ _Y_TITLES = {
 }
 
 
-def _esc(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
 def _x_px(phi: float) -> float:
     return _LEFT + phi * (_WIDTH - _LEFT - _RIGHT)
 
 
 def _y_px(v: float) -> float:
     return (_HEIGHT - _BOTTOM) - v * (_HEIGHT - _TOP - _BOTTOM)
+
+
+# Coordinates are printed as given: callers format the ones they round.
+def _text(x, y, anchor: str, label: str, attrs: str = "") -> str:
+    label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f'<text x="{x}" y="{y}" text-anchor="{anchor}"{attrs}>{label}</text>'
+
+
+def _line(x1, y1, x2, y2, stroke: str, width, attrs: str = "") -> str:
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        f'stroke="{stroke}" stroke-width="{width}"{attrs}/>'
+    )
 
 
 def render_lineplot(summary_rows, metric: str, path, alpha: float = 0.05) -> None:
@@ -63,74 +72,40 @@ def render_lineplot(summary_rows, metric: str, path, alpha: float = 0.05) -> Non
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">'
     )
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
-    out.append(
-        f'<text x="{(_LEFT + _WIDTH - _RIGHT) / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-size="15">{_esc(title)}</text>'
-    )
+    out.append(_text(f"{(_LEFT + _WIDTH - _RIGHT) / 2:.1f}", 24, "middle", title, ' font-size="15"'))
 
     # grid and ticks every 0.1 on both axes
+    x0, x1, y0, y1 = (f"{v:.1f}" for v in (_x_px(0), _x_px(1), _y_px(0), _y_px(1)))
     for i in range(11):
         t = i / 10
         x, y = _x_px(t), _y_px(t)
-        out.append(
-            f'<line x1="{x:.1f}" y1="{_y_px(0):.1f}" x2="{x:.1f}" y2="{_y_px(1):.1f}" '
-            f'stroke="#e0e0e0" stroke-width="1"/>'
-        )
-        out.append(
-            f'<line x1="{_x_px(0):.1f}" y1="{y:.1f}" x2="{_x_px(1):.1f}" y2="{y:.1f}" '
-            f'stroke="#e0e0e0" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x:.1f}" y="{_y_px(0) + 18:.1f}" text-anchor="middle">{t:.1f}</text>'
-        )
-        out.append(
-            f'<text x="{_x_px(0) - 8:.1f}" y="{y + 4:.1f}" text-anchor="end">{t:.1f}</text>'
-        )
+        out.append(_line(f"{x:.1f}", y0, f"{x:.1f}", y1, "#e0e0e0", 1))
+        out.append(_line(x0, f"{y:.1f}", x1, f"{y:.1f}", "#e0e0e0", 1))
+        out.append(_text(f"{x:.1f}", f"{_y_px(0) + 18:.1f}", "middle", f"{t:.1f}"))
+        out.append(_text(f"{_x_px(0) - 8:.1f}", f"{y + 4:.1f}", "end", f"{t:.1f}"))
 
     # axes
-    out.append(
-        f'<line x1="{_x_px(0):.1f}" y1="{_y_px(0):.1f}" x2="{_x_px(1):.1f}" y2="{_y_px(0):.1f}" '
-        f'stroke="#000000" stroke-width="1.5"/>'
-    )
-    out.append(
-        f'<line x1="{_x_px(0):.1f}" y1="{_y_px(0):.1f}" x2="{_x_px(0):.1f}" y2="{_y_px(1):.1f}" '
-        f'stroke="#000000" stroke-width="1.5"/>'
-    )
-    out.append(
-        f'<text x="{(_x_px(0) + _x_px(1)) / 2:.1f}" y="{_HEIGHT - 16}" '
-        f'text-anchor="middle">noise level</text>'
-    )
-    ylab_y = (_y_px(0) + _y_px(1)) / 2
-    out.append(
-        f'<text x="18" y="{ylab_y:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {ylab_y:.1f})">{_esc(title)}</text>'
-    )
+    out.append(_line(x0, y0, x1, y0, "#000000", 1.5))
+    out.append(_line(x0, y0, x0, y1, "#000000", 1.5))
+    out.append(_text(f"{(_x_px(0) + _x_px(1)) / 2:.1f}", _HEIGHT - 16, "middle", "noise level"))
+    ylab_y = f"{(_y_px(0) + _y_px(1)) / 2:.1f}"
+    out.append(_text(18, ylab_y, "middle", title, f' transform="rotate(-90 18 {ylab_y})"'))
 
     legend_x = _WIDTH - _RIGHT + 20
     legend_y = _TOP + 10
     if metric in (CLASS_COVERAGE, MEAN_COVERAGE):
-        y = _y_px(1.0 - alpha)
-        out.append(
-            f'<line x1="{_x_px(0):.1f}" y1="{y:.1f}" x2="{_x_px(1):.1f}" y2="{y:.1f}" '
-            f'stroke="#444444" stroke-width="1.5" stroke-dasharray="6 4"/>'
-        )
-        out.append(
-            f'<text x="{legend_x}" y="{legend_y}" text-anchor="start">target {1 - alpha:.2f}</text>'
-        )
+        y = f"{_y_px(1.0 - alpha):.1f}"
+        out.append(_line(x0, y, x1, y, "#444444", 1.5, ' stroke-dasharray="6 4"'))
+        out.append(_text(legend_x, legend_y, "start", f"target {1 - alpha:.2f}"))
         legend_y += 20
 
     for i, cls in enumerate(sorted(series, key=class_order)):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{_x_px(p):.2f},{_y_px(v):.2f}" for p, v in series[cls])
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>')
-        out.append(
-            f'<line x1="{legend_x}" y1="{legend_y - 4}" x2="{legend_x + 22}" y2="{legend_y - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
+        out.append(_line(legend_x, legend_y - 4, legend_x + 22, legend_y - 4, color, 2))
         label = title if cls is None else f"class {cls}"
-        out.append(
-            f'<text x="{legend_x + 28}" y="{legend_y}" text-anchor="start">{_esc(label)}</text>'
-        )
+        out.append(_text(legend_x + 28, legend_y, "start", label))
         legend_y += 20
 
     out.append("</svg>")

@@ -8,7 +8,6 @@ from stream id i*10**6 + r, so its rows depend on nothing but the config.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -16,9 +15,9 @@ import numpy as np
 
 from .conformal import fit_bcops, predict_all
 from .data import OUTLIER, LabeledDataset, RngStream, UnlabeledDataset, stratified_subsample
-from .datagen import gen_example1_test, gen_example1_train, gen_example2
+from .datagen import N_FEATURES, gen_example1_test, gen_example1_train, gen_example2
 from .forest import ForestConfig, check_count
-from .metrics import CLASS_COVERAGE, METRIC_NAMES, SummaryRow, class_order, evaluate
+from .metrics import MetricRecord, SummaryRow, class_order, evaluate
 from .mnist import load_mnist
 from .noise import CorruptionSpec, corrupt_labels
 
@@ -34,6 +33,13 @@ _DEFAULT_PHI_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 _DEFAULT_REPETITIONS = {"example1": 100, "example2": 20, "mnist": 5}
 
 _MNIST_PATH_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
+
+# Types of the fields that no range check below rejects when wrongly typed;
+# a bool passes only as inclusive_resampling.
+_FIELD_TYPES = {
+    "alpha": (int, float), "phi_grid": (list, tuple), "mnist_paths": (dict, type(None)),
+    "inclusive_resampling": (bool,), "output_dir": (str, type(None)), "imbalance_cap": (int, float),
+}
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        for name, kinds in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, kinds) or isinstance(value, bool) != (kinds == (bool,)):
+                raise ValueError(f"{name} has the wrong type: {value!r}")
+        if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in self.phi_grid):
+            raise ValueError(f"phi_grid must hold numbers only, got {list(self.phi_grid)!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         grid = tuple(float(p) for p in self.phi_grid)
@@ -67,14 +79,15 @@ class ExperimentConfig:
         if self.repetitions >= _STREAMS_PER_PHI:
             # a larger count would reuse the streams of the next phi index
             raise ValueError(f"repetitions must lie in 1..{_STREAMS_PER_PHI - 1}")
+        check_count("seed", self.seed, minimum=0)
         if not self.imbalance_cap > 0:
             raise ValueError("imbalance_cap must be > 0")
         if self.experiment == "mnist":
             if self.mnist_paths is None:
                 raise ValueError("mnist_paths is required when experiment=mnist")
-            missing = [k for k in _MNIST_PATH_KEYS if k not in self.mnist_paths]
+            missing = [k for k in _MNIST_PATH_KEYS if not isinstance(self.mnist_paths.get(k), str)]
             if missing:
-                raise ValueError(f"mnist_paths missing field(s): {', '.join(missing)}")
+                raise ValueError(f"mnist_paths missing or non-string field(s): {', '.join(missing)}")
             if self.mnist_per_class is None:
                 object.__setattr__(self, "mnist_per_class", 500)
         if self.mnist_per_class is not None:
@@ -89,7 +102,9 @@ class ExperimentConfig:
         if raw.get("experiment") is None:
             raise ValueError("config field 'experiment' is required")
         kwargs = dict(raw)
-        forest_raw = kwargs.pop("forest", {}) or {}
+        forest_raw = {} if raw.get("forest") is None else raw["forest"]
+        if not isinstance(forest_raw, dict):
+            raise ValueError(f"forest must be an object, got {forest_raw!r}")
         forest_keys = {f.name for f in fields(ForestConfig)} - {"seed_stream"}
         unknown = sorted(set(forest_raw) - forest_keys)
         if unknown:
@@ -135,15 +150,26 @@ def prepare_mnist(paths: dict) -> tuple[LabeledDataset, UnlabeledDataset]:
     return train, UnlabeledDataset(features, digit_class[digits])
 
 
-def check_mnist_per_class(train: LabeledDataset, per_class: int) -> None:
-    """Fail unless every training digit has at least per_class rows."""
-    counts = np.bincount(train.labels, minlength=train.class_count + 1)[1:]
-    k = int(np.argmin(counts))
-    if per_class > counts[k]:
+def check_inputs(config: ExperimentConfig):
+    """Check forest.mtry against the feature count and, for mnist, that every
+    training digit has at least mnist_per_class rows. Return the mnist
+    (train, test) pair that the cells share, or None."""
+    mnist_ctx = prepare_mnist(config.mnist_paths) if config.experiment == "mnist" else None
+    if mnist_ctx is not None:
+        counts = np.bincount(mnist_ctx[0].labels)[1:]  # prepare_mnist found every digit
+        k = int(np.argmin(counts))
+        if config.mnist_per_class > counts[k]:
+            raise ValueError(
+                f"mnist_per_class={config.mnist_per_class} exceeds the {counts[k]} training rows "
+                f"of digit {_MNIST_TRAIN_DIGITS[k]}"
+            )
+    n_features = N_FEATURES if mnist_ctx is None else mnist_ctx[0].n_features
+    if config.forest.mtry is not None and config.forest.mtry > n_features:
         raise ValueError(
-            f"mnist_per_class={per_class} exceeds the {counts[k]} training rows "
-            f"of digit {_MNIST_TRAIN_DIGITS[k]}"
+            f"forest.mtry={config.forest.mtry} exceeds the {n_features} features "
+            f"of experiment {config.experiment}"
         )
+    return mnist_ctx
 
 
 def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
@@ -188,7 +214,7 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
 
 def run_sweep(config: ExperimentConfig) -> tuple:
     """Run every (phi, repetition) cell in order; fully deterministic given config."""
-    mnist_ctx = prepare_mnist(config.mnist_paths) if config.experiment == "mnist" else None
+    mnist_ctx = check_inputs(config)
     rows = []
     for i, phi in enumerate(config.phi_grid):
         for r in range(config.repetitions):
@@ -210,32 +236,30 @@ def run_metadata(config: ExperimentConfig) -> dict:
     }
 
 
-def write_csv(rows, path) -> None:
+def _write_table(path, header, lines) -> None:
+    """Write a CSV file, creating its directory; a failure names the path."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow([
-            r.experiment,
-            f"{r.phi:.4f}",
-            r.repetition,
-            r.metric,
-            "" if r.class_label is None else r.class_label,
-            f"{r.value:.6f}",
-        ])
     try:
-        path.write_text(buf.getvalue(), encoding="utf-8")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(lines)
     except OSError as exc:
         raise OSError(f"failed to write CSV to {path}: {exc}") from exc
 
 
+def write_csv(rows, path) -> None:
+    _write_table(path, CSV_HEADER, ([
+        r.experiment, f"{r.phi:.4f}", r.repetition, r.metric,
+        "" if r.class_label is None else r.class_label, f"{r.value:.6f}",
+    ] for r in rows))
+
+
 def read_csv(path) -> tuple:
     """Rows of a sweep CSV; a row without six fields, with a non-numeric phi,
-    repetition, class or value, with an unknown metric, with a class on a
-    metric other than class_coverage (or none on it) or with a value outside
-    [0, 1] fails, naming the file and line."""
+    repetition, class or value, or that MetricRecord rejects fails, naming
+    the file and line."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -244,11 +268,10 @@ def read_csv(path) -> tuple:
             raise ValueError(f"{path}: unexpected CSV header {header}")
         rows = []
         for rec in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(rec) != len(CSV_HEADER):
-                raise ValueError(f"{where}: expected {len(CSV_HEADER)} fields, got {len(rec)}")
-            exp, phi, rep, metric, cls, value = rec
             try:
+                if len(rec) != len(CSV_HEADER):
+                    raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(rec)}")
+                exp, phi, rep, metric, cls, value = rec
                 row = SweepRow(
                     experiment=exp,
                     phi=float(phi),
@@ -257,33 +280,18 @@ def read_csv(path) -> tuple:
                     class_label=None if cls == "" else int(cls),
                     value=float(value),
                 )
+                MetricRecord(metric, row.value, row.class_label)
             except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            if metric not in METRIC_NAMES:
-                raise ValueError(f"{where}: unknown metric {metric!r}")
-            if (row.class_label is None) == (metric == CLASS_COVERAGE):
-                raise ValueError(f"{where}: a class is given iff the metric is {CLASS_COVERAGE}")
-            if not 0.0 <= row.value <= 1.0:
-                raise ValueError(f"{where}: value {value} lies outside [0, 1]")
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
             rows.append(row)
     return tuple(rows)
 
 
 def write_summary_csv(summary_rows, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["phi", "metric", "class", "mean", "sd", "n_reps"])
-        for r in summary_rows:
-            writer.writerow([
-                f"{r.phi:.4f}",
-                r.metric_name,
-                "" if r.class_label is None else r.class_label,
-                f"{r.mean:.6f}",
-                f"{r.sd:.6f}",
-                r.n_reps,
-            ])
+    _write_table(path, ["phi", "metric", "class", "mean", "sd", "n_reps"], ([
+        f"{r.phi:.4f}", r.metric_name, "" if r.class_label is None else r.class_label,
+        f"{r.mean:.6f}", f"{r.sd:.6f}", r.n_reps,
+    ] for r in summary_rows))
 
 
 def aggregate_result(rows) -> list[SummaryRow]:

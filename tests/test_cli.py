@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -74,6 +75,46 @@ def test_validate_rejects_mnist_inputs(tmp_path, capsys, train_digits, per_class
     cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=per_class)
     assert cli_main(["validate", "--config", str(cfg)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_run_checks_mtry_before_first_cell(tmp_path, capsys):
+    cfg = _write_config(tmp_path, forest={"n_trees": 4, "mtry": 11})
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "forest.mtry=11 exceeds the 10 features of experiment example1" in err
+    assert "sweep cell failed" not in err
+
+
+def test_run_checks_mnist_per_class_before_first_cell(tmp_path, capsys):
+    files = {**_write_idx_pair(tmp_path, "train", [0, 1, 2, 3, 4, 5] * 3 + [0, 1, 2, 4, 5]),
+             **_write_idx_pair(tmp_path, "test", [0, 6])}
+    cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=4)
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "mnist_per_class=4 exceeds the 3 training rows of digit 3" in err
+    assert "sweep cell failed" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("field,value", [
+    ("forest", [1]),
+    ("phi_grid", 0.5),
+    ("alpha", "0.1"),
+    ("seed", -1),
+    ("seed", 1.5),
+    ("seed", "7"),
+    ("seed", True),
+    ("inclusive_resampling", "no"),
+    ("mnist_paths", "x"),
+])
+def test_wrongly_typed_field_fails_at_load(tmp_path, capsys, command, field, value):
+    argv = [command, "--config", str(_write_config(tmp_path, **{field: value}))]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_mnist_without_paths_fails_naming_field(tmp_path, capsys):
@@ -207,6 +248,10 @@ def test_module_entry_point_runs():
 GOLDEN_SHA256 = {
     "sweep.csv": "4dccbce3aa2eefe11f6e606cb5164ca4b1ecbcca33dfcdddf154aec485631727",
     "summary.csv": "95f38bb04fa7cfbfaa758f28360d9b403b8db1837fa884da73fe11cc8dd89c7f",
+    "run_metadata.json": "ba42de73d92cbd5fd3c938186b354e92dceb82229424fc63d8d2008e03e758f2",
+    "class_coverage.svg": "7b967c82d27ee1e9b41293a458f93c8fb972d1c97359a3b0afbf88583bf90ed8",
+    "mean_coverage.svg": "a8c67932ccbbd5d6168fac4004adbd33dbe56a4cc8cd9a75d7579e70e647ef26",
+    "abstention_rate.svg": "3e633148bba27c83fd5fa282fcf5484fe55903e8c3e73f4e1bece82562fdfafe",
 }
 
 
@@ -218,3 +263,36 @@ def test_golden_sweep_bytes(tmp_path):
     assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     for name, digest in GOLDEN_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def _load_tracing(repo):
+    spec = importlib.util.spec_from_file_location("tracing", repo / "benchmarks" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("experiment", ["example1", "mnist"])
+def test_benchmark_tracer_binds(tmp_path, experiment):
+    # The traced benchmark run wraps names in bcops.cli, bcops.sweep and
+    # bcops.conformal; a renamed or moved one would leave its time outside
+    # every layer or fail the recount of the cells.
+    repo = Path(__file__).resolve().parents[1]
+    overrides = {"phi_grid": [0.0], "forest": {"n_trees": 2, "min_node_size": 5, "max_depth": 4}}
+    if experiment == "mnist":
+        files = {**_write_idx_pair(tmp_path, "train", [0, 1, 2, 3, 4, 5] * 6),
+                 **_write_idx_pair(tmp_path, "test", list(range(10)) * 2)}
+        overrides.update(experiment="mnist", mnist_paths=files, mnist_per_class=4)
+    cfg = _write_config(tmp_path, **overrides)
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(repo / "benchmarks" / "launch.py"), "--trace", str(spans),
+         "run", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        cwd=repo, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    trace = json.loads(spans.read_text())
+    assert trace["rc"] == 0
+    assert trace["failures"] == []
+    layer_spans = {name for names in _load_tracing(repo).LAYER_SPANS.values() for name in names}
+    assert {s["name"] for s in trace["spans"]} <= layer_spans

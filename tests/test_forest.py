@@ -116,6 +116,17 @@ class TestBestSplit:
                 assert got[2] == pytest.approx(expected[1])
                 assert got[2] >= 0.0
 
+    def test_midpoint_rounding_onto_an_endpoint(self):
+        # 0.5 * (a + b) rounds onto a for adjacent doubles a < b, which would
+        # leave the left child empty; the next distinct pair is used instead
+        a = 1.0
+        b = np.nextafter(a, 2.0)
+        c = np.nextafter(b, 2.0)
+        assert _split([a, b], [0, 1]) is None
+        col, thr, dec = _split([a, b, c], [0, 1, 1])
+        assert (col, thr) == (0, c)
+        assert dec == pytest.approx(_gini(1, 2) - 2 / 3 * _gini(1, 1))
+
     def test_picks_best_column(self):
         g = np.random.default_rng(43)
         for trial in range(100):
@@ -215,6 +226,93 @@ class TestPredict:
             predict_probability_batch(model, np.zeros((1, 3)))
         with pytest.raises(ValueError):
             predict_probability_batch(model, np.zeros(1))
+
+
+def _reference_split(values, targets):
+    """The split search as a loop over columns, each sorted on its own."""
+    n, m = values.shape
+    if n < 2:
+        return None
+    n1 = int(targets.sum())
+    parent = 1.0 - (n1 / n) ** 2 - (1.0 - n1 / n) ** 2
+    best = None
+    for c in range(m):
+        order = np.argsort(values[:, c], kind="stable")
+        vs = values[order, c]
+        l1 = np.cumsum(targets[order])[:-1]
+        nl = np.arange(1, n, dtype=np.float64)
+        nr = n - nl
+        ql, qr = l1 / nl, (n1 - l1) / nr
+        child = (nl * 2.0 * ql * (1.0 - ql) + nr * 2.0 * qr * (1.0 - qr)) / n
+        mid = 0.5 * (vs[:-1] + vs[1:])
+        decrease = np.where((mid > vs[:-1]) & (mid <= vs[1:]), parent - child, -1.0)
+        j = int(np.argmax(decrease))
+        if decrease[j] > 0.0 and (best is None or decrease[j] > best[2]):
+            best = (c, float(mid[j]), float(decrease[j]))
+    return best
+
+
+def _reference_tree(x, y, g, mtry, min_node_size, max_depth):
+    """One tree grown node by node, splitting rows with the v < t rule; each
+    node is [feature, threshold, left, right, prob]."""
+    boot = g.integers(0, x.shape[0], size=x.shape[0])
+    nodes = [[-1, 0.0, -1, -1, 0.0]]
+    stack = [(0, boot, 0)]
+    while stack:
+        idx, rows, depth = stack.pop()
+        n1 = int(y[rows].sum())
+        nodes[idx][4] = n1 / rows.size
+        if n1 in (0, rows.size) or rows.size <= min_node_size or (
+            max_depth is not None and depth >= max_depth
+        ):
+            continue
+        feats = np.sort(g.choice(x.shape[1], size=mtry, replace=False))
+        found = _reference_split(x[rows][:, feats], y[rows].astype(np.float64))
+        if found is None:
+            continue
+        col, thr, _ = found
+        go_left = x[rows, feats[col]] < thr
+        nodes[idx][:4] = [int(feats[col]), thr, len(nodes), len(nodes) + 1]
+        nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
+        stack += [(len(nodes) - 2, rows[go_left], depth + 1), (len(nodes) - 1, rows[~go_left], depth + 1)]
+    return nodes
+
+
+def _reference_scores(trees, x):
+    """Mean leaf probability per row, walking each tree one row at a time."""
+    acc = np.zeros(x.shape[0])
+    for nodes in trees:
+        leaf_probs = []
+        for row in x:
+            i = 0
+            while nodes[i][0] >= 0:
+                i = nodes[i][2] if row[nodes[i][0]] < nodes[i][1] else nodes[i][3]
+            leaf_probs.append(nodes[i][4])
+        acc += np.array(leaf_probs)
+    return acc / len(trees)
+
+
+@pytest.mark.parametrize("values", ["continuous", "ties", "adjacent_doubles"])
+def test_forest_matches_reference_bit_for_bit(values):
+    g = np.random.default_rng(17)
+    x = g.normal(size=(300, 4))
+    if values == "ties":
+        x = np.round(x, 1)
+    elif values == "adjacent_doubles":
+        # midpoints of neighbouring doubles round onto an endpoint
+        x = 1.0 + np.spacing(1.0) * g.integers(0, 6, size=x.shape)
+    y = (x[:, 0] + x[:, 1] + g.normal(size=300) > x[:, 0].mean() + x[:, 1].mean()).astype(int)
+    config = ForestConfig(n_trees=4, mtry=2, min_node_size=3, seed_stream=RngStream(5, 3))
+    model = train_forest(BinaryTrainingSet(x, y), config)
+    trees = [
+        _reference_tree(x, y, config.seed_stream.derive(t).generator(), 2, 3, None)
+        for t in range(config.n_trees)
+    ]
+    for tree, nodes in zip(model.trees, trees):
+        for k, name in enumerate(("feature", "threshold", "left", "right", "prob")):
+            assert getattr(tree, name).tolist() == [node[k] for node in nodes], name
+    x_new = np.vstack([x[:50], g.normal(size=(50, 4))])
+    assert np.array_equal(predict_probability_batch(model, x_new), _reference_scores(trees, x_new))
 
 
 def test_monotone_separable_out_of_sample():

@@ -74,6 +74,34 @@ class TestConfig:
                 "experiment": "mnist",
                 "mnist_paths": {"train_images": "a", "train_labels": "b", "test_images": "c"},
             })
+        with pytest.raises(ValueError, match="train_labels"):
+            ExperimentConfig.from_dict({
+                "experiment": "mnist",
+                "mnist_paths": {"train_images": "a", "train_labels": 1, "test_images": "c",
+                                "test_labels": "d"},
+            })
+
+    @pytest.mark.parametrize("field,value", [
+        ("forest", [1]),
+        ("forest", False),
+        ("phi_grid", 0.5),
+        ("phi_grid", [0.0, True]),
+        ("phi_grid", [0.0, "0.5"]),
+        ("alpha", "0.1"),
+        ("alpha", True),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", "7"),
+        ("seed", True),
+        ("inclusive_resampling", "no"),
+        ("inclusive_resampling", 1),
+        ("mnist_paths", "x"),
+        ("output_dir", 5),
+        ("imbalance_cap", "5"),
+    ])
+    def test_wrongly_typed_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            _tiny_config(**{field: value})
 
     def test_imbalance_cap_must_be_positive(self):
         for cap in (0, -1):
