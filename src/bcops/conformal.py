@@ -60,8 +60,8 @@ def fit_bcops(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if not imbalance_cap > 0:
-        raise ValueError("imbalance_cap must be > 0")
+    if not 0 < imbalance_cap < np.inf:
+        raise ValueError("imbalance_cap must be > 0 and finite")
     if test.n_rows == 0:
         raise ValueError("test set must be non-empty")
     k_count = train.class_count

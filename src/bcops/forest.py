@@ -10,6 +10,7 @@ before it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,69 +58,24 @@ class ForestConfig:
                 check_count(name, value)
 
 
-class _Tree:
-    """Flat-array CART tree; feature == -1 marks a leaf."""
+class _Tree(NamedTuple):
+    """Flat-array CART tree in the layout that scoring walks. Node 0 is the
+    root. A leaf is its own left and right child under a NaN threshold and
+    feature 0, so a row that reaches it stays there for the remaining
+    levels; ``levels`` is the depth of the deepest leaf."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "prob", "_walk")
-
-    def __init__(self, feature, threshold, left, right, prob):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.prob = np.asarray(prob, dtype=np.float64)
-        # for predict: each leaf is its own child under a NaN threshold, so
-        # a row that reaches a leaf stays there for the remaining levels
-        leaf = self.feature < 0
-        nodes = np.arange(leaf.size)
-        is_leaf, lefts, rights = leaf.tolist(), self.left.tolist(), self.right.tolist()
-        levels, frontier = 0, [0]
-        while True:
-            frontier = [c for i in frontier if not is_leaf[i] for c in (lefts[i], rights[i])]
-            if not frontier:
-                break
-            levels += 1
-        self._walk = (
-            levels,
-            np.where(leaf, 0, self.feature).astype(np.intp),
-            np.where(leaf, np.nan, self.threshold),
-            np.where(leaf, nodes, self.left),
-            np.where(leaf, nodes, self.right),
-        )
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        levels, feature, threshold, left, right = self._walk
-        n, p = x.shape
-        flat = x.ravel()
-        start = np.arange(0, n * p, p)
-        idx = np.zeros(n, dtype=np.intp)
-        for _ in range(levels):
-            go_left = flat[start + feature[idx]] < threshold[idx]
-            idx = np.where(go_left, left[idx], right[idx])
-        return self.prob[idx]
+    levels: int
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    prob: np.ndarray
 
 
 @dataclass(frozen=True)
 class ForestModel:
     trees: tuple
     n_features: int
-
-
-def _best_split_columns(values: np.ndarray, targets: np.ndarray):
-    """Best Gini split over the columns of ``values`` (one feature each).
-
-    Returns (column, threshold, impurity_decrease) or None when no column
-    admits a strictly positive decrease. Ties go to the lowest column, then
-    the lowest threshold.
-    """
-    values = np.asarray(values, dtype=np.float64).T
-    targets = np.asarray(targets, dtype=np.float64)
-    order = values.argsort(axis=1)
-    found = _best_sorted_split(
-        np.take_along_axis(values, order, axis=1), targets[order], int(targets.sum()),
-        _node_sizes(targets.size),
-    )
-    return None if found is None else found[:3]
 
 
 def _node_sizes(n: int) -> np.ndarray:
@@ -130,18 +86,20 @@ def _node_sizes(n: int) -> np.ndarray:
     return np.stack([k, 2.0 * k])
 
 
-def _best_sorted_split(vs: np.ndarray, ys: np.ndarray, n1: int, sizes: np.ndarray, exact=False):
+def _best_sorted_split(vs: np.ndarray, ys: np.ndarray, n1: int, sizes: np.ndarray):
     """Best Gini split of a node whose m candidate features are the rows of
     ``vs``, each sorted ascending, with ``ys`` the 0/1 targets in the same
     order and ``n1`` their sum. ``sizes`` is _node_sizes of any row count
     at least the node's.
 
     Returns (row of vs, threshold, impurity_decrease, j, targets left) with
-    sorted positions 0..j going left, or None as for _best_split_columns.
-    Only positions between distinct values are candidates, so the order of
+    sorted positions 0..j going left, or None when no split has a strictly
+    positive decrease. Ties go to the lowest row, then the lowest position.
+    Candidates are the positions between distinct values whose midpoint t
+    leaves both children non-empty under the v < t rule, so the order of
     tied values does not change the result.
     """
-    m, n = vs.shape
+    n = vs.shape[1]
     if n < 2:
         return None
     parent = 1.0 - (n1 / n) ** 2 - (1.0 - n1 / n) ** 2
@@ -160,36 +118,31 @@ def _best_sorted_split(vs: np.ndarray, ys: np.ndarray, n1: int, sizes: np.ndarra
     right *= 1.0 - qr
     child += right
     child /= n
-    lo, hi = vs[:, :-1], vs[:, 1:]
-    if exact:
-        mid = 0.5 * (lo + hi)
-        candidate = (mid > lo) & (mid <= hi)
-    else:
-        candidate = lo < hi
-    decrease = np.where(candidate, parent - child, -1.0)
-    # the first maximum in row-major order: lowest row, then lowest position
-    c, j = divmod(int(decrease.argmax()), n - 1)
-    d = float(decrease[c, j])
-    if d <= 0.0:
-        return None
-    a, b = float(vs[c, j]), float(vs[c, j + 1])
-    threshold = 0.5 * (a + b)
-    if not exact and not a < threshold <= b:
-        # the midpoint rounds onto an endpoint and would leave one child
-        # empty under the v < t rule: search again without such positions
-        return _best_sorted_split(vs, ys, n1, sizes, exact=True)
-    return c, threshold, d, j, int(l1[c, j])
+    decrease = np.where(vs[:, :-1] < vs[:, 1:], parent - child, -1.0)
+    while True:
+        # the first maximum in row-major order: lowest row, then lowest position
+        c, j = divmod(int(decrease.argmax()), n - 1)
+        d = float(decrease[c, j])
+        if d <= 0.0:
+            return None
+        a, b = float(vs[c, j]), float(vs[c, j + 1])
+        threshold = 0.5 * (a + b)
+        if a < threshold <= b:
+            return c, threshold, d, j, int(l1[c, j])
+        # the midpoint of adjacent doubles rounds onto an endpoint and would
+        # leave one child empty under the v < t rule
+        decrease[c, j] = -1.0
 
 
-def _grow_tree(xt, y, boot, g, mtry, min_node_size, max_depth):
+def _grow_tree(xt, y, boot, g, mtry, min_node_size, max_depth) -> _Tree:
     """Grow one tree on the bootstrap rows ``boot`` of the feature-major
-    matrix ``xt`` (one row per feature) with float 0/1 targets ``y``."""
+    matrix ``xt`` (one row per feature) with float 0/1 targets ``y``.
+
+    Each node is [feature, threshold, left, right, prob]. A new node is a
+    leaf (see _Tree), and a split overwrites its first four fields."""
     p = xt.shape[0]
-    feature = [-1]
-    threshold = [0.0]
-    left = [-1]
-    right = [-1]
-    prob = [0.0]
+    nodes = [[0, np.nan, 0, 0, 0.0]]
+    levels = 0
     picked = np.arange(mtry)[:, None]
     sizes = _node_sizes(boot.size)
 
@@ -199,13 +152,8 @@ def _grow_tree(xt, y, boot, g, mtry, min_node_size, max_depth):
     while stack:
         idx, rows, n1, depth = stack.pop()
         n = rows.size
-        prob[idx] = n1 / n
-        if (
-            n1 == 0
-            or n1 == n
-            or n <= min_node_size
-            or (max_depth is not None and depth >= max_depth)
-        ):
+        nodes[idx][4] = n1 / n
+        if n1 in (0, n) or n <= min_node_size or (max_depth is not None and depth >= max_depth):
             continue
         feats = g.choice(p, size=mtry, replace=False)
         feats.sort()
@@ -216,16 +164,16 @@ def _grow_tree(xt, y, boot, g, mtry, min_node_size, max_depth):
         if found is None:
             continue
         col, thr, _, j, left_n1 = found
-        li = len(feature)
-        for lst, val in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1), (prob, 0.0)):
-            lst.extend((val, val))
-        feature[idx] = int(feats[col])
-        threshold[idx] = thr
-        left[idx] = li
-        right[idx] = li + 1
+        li = len(nodes)
+        nodes[idx][:4] = int(feats[col]), thr, li, li + 1
+        nodes += [[0, np.nan, li, li, 0.0], [0, np.nan, li + 1, li + 1, 0.0]]
+        levels = max(levels, depth + 1)
         stack.append((li, sorted_rows[col, : j + 1], left_n1, depth + 1))
         stack.append((li + 1, sorted_rows[col, j + 1 :], n1 - left_n1, depth + 1))
-    return _Tree(feature, threshold, left, right, prob)
+    feature, threshold, left, right, prob = np.array(nodes).T
+    return _Tree(
+        levels, feature.astype(np.intp), threshold, left.astype(np.intp), right.astype(np.intp), prob
+    )
 
 
 def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
@@ -248,12 +196,19 @@ def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
 
 
 def predict_probability_batch(model: ForestModel, x) -> np.ndarray:
-    """Mean per-tree leaf probability for each row of x."""
+    """Mean per-tree leaf probability for each row of x, walking each tree
+    level by level from the root for its ``levels`` levels."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise ValueError(f"expected shape (n, {model.n_features})")
-    acc = np.zeros(x.shape[0])
+    n, p = x.shape
+    flat = x.ravel()
+    start = np.arange(0, n * p, p)
+    acc = np.zeros(n)
     for tree in model.trees:
-        acc += tree.predict(x)
+        idx = np.zeros(n, dtype=np.intp)
+        for _ in range(tree.levels):
+            go_left = flat[start + tree.feature[idx]] < tree.threshold[idx]
+            idx = np.where(go_left, tree.left[idx], tree.right[idx])
+        acc += tree.prob[idx]
     return acc / len(model.trees)
-

@@ -34,8 +34,8 @@ def corrupt_labels(labels, spec: CorruptionSpec, rng: RngStream) -> np.ndarray:
     describes how the replacement label is drawn."""
     labels = np.asarray(labels, dtype=np.int64)
     k = spec.class_count
-    if labels.size and labels.max() > k:
-        raise ValueError(f"labels exceed class_count={k}")
+    if labels.size and not 1 <= labels.min() <= labels.max() <= k:
+        raise ValueError(f"labels must lie in 1..{k}")
     g = rng.generator()
     fired = g.random(labels.size) < spec.phi
     if spec.inclusive_resampling:

@@ -54,6 +54,8 @@ def render_lineplot(summary_rows, metric: str, path, alpha: float = 0.05) -> Non
     single line. Coverage charts carry a dashed horizontal reference line
     at 1 - alpha.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     rows = [r for r in summary_rows if r.metric_name == metric]
     if not rows:
         raise ValueError(f"no summary rows for metric {metric!r}")

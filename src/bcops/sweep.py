@@ -80,8 +80,10 @@ class ExperimentConfig:
             # a larger count would reuse the streams of the next phi index
             raise ValueError(f"repetitions must lie in 1..{_STREAMS_PER_PHI - 1}")
         check_count("seed", self.seed, minimum=0)
-        if not self.imbalance_cap > 0:
-            raise ValueError("imbalance_cap must be > 0")
+        if self.seed >= 2**64:
+            raise ValueError("seed must be < 2**64")
+        if not 0 < self.imbalance_cap < np.inf:
+            raise ValueError("imbalance_cap must be > 0 and finite")
         if self.experiment == "mnist":
             if self.mnist_paths is None:
                 raise ValueError("mnist_paths is required when experiment=mnist")

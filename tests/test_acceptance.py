@@ -91,6 +91,7 @@ def ex2_sweep():
     return result, time.monotonic() - start
 
 
+@pytest.mark.slow
 def test_criterion_1_clean_coverage(ex1_clean):
     result, elapsed = ex1_clean
     means = {k: _mean_sd(result, 0.0, CLASS_COVERAGE, k)[0] for k in (1, 2)}
@@ -101,6 +102,7 @@ def test_criterion_1_clean_coverage(ex1_clean):
     assert elapsed < 180
 
 
+@pytest.mark.slow
 def test_criterion_2_noise_dip_and_recovery(ex1_noise_sweep):
     m0, sd0, n = _mean_sd(ex1_noise_sweep, 0.0, ABSTENTION_RATE)
     m1, sd1, _ = _mean_sd(ex1_noise_sweep, 0.1, ABSTENTION_RATE)
@@ -114,6 +116,7 @@ def test_criterion_2_noise_dip_and_recovery(ex1_noise_sweep):
     assert recovery
 
 
+@pytest.mark.slow
 def test_criterion_3_symmetry(ex1_noise_sweep):
     gaps = {}
     for phi in (0.1, 0.2, 0.3):
@@ -126,6 +129,7 @@ def test_criterion_3_symmetry(ex1_noise_sweep):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_4_multiclass_coverage_stability(ex2_sweep):
     result, elapsed = ex2_sweep
     means = {

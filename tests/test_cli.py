@@ -142,7 +142,7 @@ def test_unknown_flag_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
-def test_run_then_plot_pipeline(tmp_path):
+def test_run_then_plot_pipeline(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
@@ -161,6 +161,14 @@ def test_run_then_plot_pipeline(tmp_path):
         "plot", "--csv", str(csv_path), "--metric", "abstention_rate", "--out", str(plot_path)
     ]) == 0
     assert ET.parse(plot_path).getroot().tag.endswith("svg")
+    # a 1 - alpha reference line outside the chart is an error
+    bad_alpha = tmp_path / "bad_alpha.svg"
+    assert cli_main([
+        "plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(bad_alpha),
+        "--alpha", "1.5",
+    ]) == 1
+    assert capsys.readouterr().err.startswith("error: alpha must lie in (0, 1)")
+    assert not bad_alpha.exists()
 
 
 def test_run_seed_override_changes_output(tmp_path):
@@ -214,6 +222,28 @@ def test_validate_rejects_nonpositive_imbalance_cap(tmp_path, capsys):
     cfg = _write_config(tmp_path, imbalance_cap=-1)
     assert cli_main(["validate", "--config", str(cfg)]) == 1
     assert "imbalance_cap" in capsys.readouterr().err
+    # JSON's Infinity parses; it must fail at load, not in the first cell
+    cfg = _write_config(tmp_path, imbalance_cap=float("inf"))
+    assert "Infinity" in cfg.read_text()
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert cli_main(argv + ["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "imbalance_cap" in err and "sweep cell failed" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_seed_above_64_bits_fails_at_load(tmp_path, capsys, command):
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    cfg = _write_config(tmp_path, seed=10**23)
+    assert cli_main([command, "--config", str(cfg)] + out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be < 2**64") and "sweep cell failed" not in err
+    if command == "run":
+        cfg = _write_config(tmp_path)
+        assert cli_main(["run", "--config", str(cfg), "--seed", str(2**64)] + out) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be < 2**64")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field,value", [("n_trees", 2.5), ("max_depth", -3)])

@@ -106,7 +106,7 @@ class TestFitBcops:
         assert np.array_equal(sets1, sets2)
 
     def test_imbalance_cap_validation(self):
-        for cap in (0.0, -1.0):
+        for cap in (0.0, -1.0, float("inf")):
             with pytest.raises(ValueError, match="imbalance_cap"):
                 fit_bcops(_two_blob_data(), _matching_test(), SMALL_FOREST, 0.05, RngStream(0),
                           imbalance_cap=cap)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bcops.data import RngStream
 from bcops.forest import (
     BinaryTrainingSet,
     ForestConfig,
     ForestModel,
-    _best_split_columns,
+    _best_sorted_split,
+    _node_sizes,
     _Tree,
     predict_probability_batch,
     train_forest,
@@ -22,11 +25,21 @@ def _separable_1d(g, n_per_class=50, gap=1.0):
     return BinaryTrainingSet(x, y)
 
 
-def _split(values, targets):
-    """_best_split_columns on a single feature column."""
-    return _best_split_columns(
-        np.asarray(values, dtype=np.float64)[:, None], np.asarray(targets, dtype=np.float64)
+def _best_split(values, targets):
+    """(column, threshold, impurity_decrease) of the best split over the
+    columns of ``values``, each sorted here for _best_sorted_split, or None."""
+    vs = np.asarray(values, dtype=np.float64).T
+    ys = np.asarray(targets, dtype=np.float64)
+    order = vs.argsort(axis=1)
+    found = _best_sorted_split(
+        np.take_along_axis(vs, order, axis=1), ys[order], int(ys.sum()), _node_sizes(ys.size)
     )
+    return None if found is None else found[:3]
+
+
+def _split(values, targets):
+    """_best_split on a single feature column."""
+    return _best_split(np.asarray(values, dtype=np.float64)[:, None], targets)
 
 
 class TestGini:
@@ -133,7 +146,7 @@ class TestBestSplit:
             n = int(g.integers(2, 25))
             values = np.round(g.normal(size=(n, 3)), 1)
             targets = g.integers(0, 2, size=n)
-            got = _best_split_columns(values, targets.astype(np.float64))
+            got = _best_split(values, targets)
             per_column = [_brute_force_best_split(values[:, c], targets) for c in range(3)]
             decreases = [-1.0 if e is None else e[1] for e in per_column]
             if max(decreases) < 0:
@@ -172,6 +185,7 @@ class TestTrainForest:
         # bootstrap resample prior, read off the single leaf
         tree = model.trees[0]
         assert len(tree.prob) == 1
+        assert tree.levels == 0
         g = RngStream(0).derive(0).generator()
         boot = g.integers(0, 64, size=64)
         assert tree.prob[0] == pytest.approx(data.targets[boot].mean())
@@ -190,18 +204,23 @@ class TestTrainForest:
         m2 = train_forest(data, cfg)
         for t1, t2 in zip(m1.trees, m2.trees):
             assert np.array_equal(t1.feature, t2.feature)
-            assert np.array_equal(t1.threshold, t2.threshold)
+            assert np.array_equal(t1.threshold, t2.threshold, equal_nan=True)  # NaN at leaves
             assert np.array_equal(t1.prob, t2.prob)
+
+
+def _leaf(prob):
+    """A one-node tree: the root is a leaf, its own child under a NaN threshold."""
+    zero = np.zeros(1, dtype=np.intp)
+    return _Tree(0, zero, np.full(1, np.nan), zero, zero, np.array([prob]))
 
 
 class TestPredict:
     def test_mean_of_leaf_probabilities(self):
-        leaf = lambda p: _Tree([-1], [0.0], [-1], [-1], [p])
-        model = ForestModel(trees=(leaf(0.2), leaf(0.6)), n_features=4)
+        model = ForestModel(trees=(_leaf(0.2), _leaf(0.6)), n_features=4)
         assert predict_probability_batch(model, np.zeros((1, 4)))[0] == pytest.approx(0.4)
 
     def test_pure_single_leaf(self):
-        model = ForestModel(trees=(_Tree([-1], [0.0], [-1], [-1], [1.0]),), n_features=2)
+        model = ForestModel(trees=(_leaf(1.0),), n_features=2)
         assert predict_probability_batch(model, np.array([[100.0, -3.0]]))[0] == 1.0
 
     def test_separable_far_point(self):
@@ -292,26 +311,60 @@ def _reference_scores(trees, x):
     return acc / len(trees)
 
 
+def _walk_layout(nodes):
+    """A reference tree in _Tree's layout, one row per field, and the depth
+    of its deepest leaf."""
+    layout = [
+        [0, np.nan, i, i, prob] if f < 0 else [f, t, left, right, prob]
+        for i, (f, t, left, right, prob) in enumerate(nodes)
+    ]
+    depth = [0] * len(nodes)
+    for i, (f, _, left, right, _) in enumerate(nodes):  # children follow their parent
+        if f >= 0:
+            depth[left] = depth[right] = depth[i] + 1
+    return np.array(layout).T, max(depth)
+
+
 @pytest.mark.parametrize("values", ["continuous", "ties", "adjacent_doubles"])
-def test_forest_matches_reference_bit_for_bit(values):
-    g = np.random.default_rng(17)
-    x = g.normal(size=(300, 4))
+@settings(deadline=None)
+@example(rows=300, cols=4, mtry=2, min_node_size=3, max_depth=None, seed=17)
+@given(
+    rows=st.integers(2, 60),
+    cols=st.integers(1, 4),
+    mtry=st.integers(1, 4),
+    min_node_size=st.integers(1, 8),
+    max_depth=st.none() | st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forest_matches_reference_bit_for_bit(values, rows, cols, mtry, min_node_size, max_depth, seed):
+    g = np.random.default_rng(seed)
+    x = g.normal(size=(rows, cols))
     if values == "ties":
         x = np.round(x, 1)
     elif values == "adjacent_doubles":
         # midpoints of neighbouring doubles round onto an endpoint
         x = 1.0 + np.spacing(1.0) * g.integers(0, 6, size=x.shape)
-    y = (x[:, 0] + x[:, 1] + g.normal(size=300) > x[:, 0].mean() + x[:, 1].mean()).astype(int)
-    config = ForestConfig(n_trees=4, mtry=2, min_node_size=3, seed_stream=RngStream(5, 3))
+    signal = range(min(cols, 2))
+    y = sum(x[:, c] for c in signal) + g.normal(size=rows) > sum(x[:, c].mean() for c in signal)
+    y = y.astype(int)
+    if y.min() == y.max():
+        y[0] = 1 - y[0]
+    mtry = min(mtry, cols)
+    config = ForestConfig(
+        n_trees=4, mtry=mtry, min_node_size=min_node_size, max_depth=max_depth,
+        seed_stream=RngStream(5, 3),
+    )
     model = train_forest(BinaryTrainingSet(x, y), config)
     trees = [
-        _reference_tree(x, y, config.seed_stream.derive(t).generator(), 2, 3, None)
+        _reference_tree(x, y, config.seed_stream.derive(t).generator(), mtry, min_node_size, max_depth)
         for t in range(config.n_trees)
     ]
     for tree, nodes in zip(model.trees, trees):
+        layout, levels = _walk_layout(nodes)
         for k, name in enumerate(("feature", "threshold", "left", "right", "prob")):
-            assert getattr(tree, name).tolist() == [node[k] for node in nodes], name
-    x_new = np.vstack([x[:50], g.normal(size=(50, 4))])
+            assert np.array_equal(getattr(tree, name), layout[k], equal_nan=True), name
+        assert tree.levels == levels
+    x_new = np.vstack([x[:50], g.normal(size=(50, cols))])
     assert np.array_equal(predict_probability_batch(model, x_new), _reference_scores(trees, x_new))
 
 

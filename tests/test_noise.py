@@ -86,3 +86,11 @@ def test_spec_validation():
         CorruptionSpec(0.5, 1)
     with pytest.raises(ValueError):
         corrupt_labels([3], CorruptionSpec(0.5, 2), RngStream(0))
+
+
+def test_labels_outside_classes_rejected():
+    # a label below 1 would pass through at phi 0 and become a class at phi 1
+    for labels in ([0, 0, 1, 2, -3], [1, 2, 3]):
+        for phi in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"labels must lie in 1\.\.2"):
+                corrupt_labels(labels, CorruptionSpec(phi, 2), RngStream(0))

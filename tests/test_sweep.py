@@ -104,9 +104,17 @@ class TestConfig:
             _tiny_config(**{field: value})
 
     def test_imbalance_cap_must_be_positive(self):
-        for cap in (0, -1):
+        # an infinite cap would fail in the first cell, converting to int
+        for cap in (0, -1, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="imbalance_cap"):
                 _tiny_config(imbalance_cap=cap)
+
+    def test_seed_fits_64_bits(self):
+        # cell streams take the seed as an unsigned 64-bit integer
+        assert _tiny_config(seed=2**64 - 1).seed == 2**64 - 1
+        for seed in (2**64, 10**23):
+            with pytest.raises(ValueError, match="seed must be < 2"):
+                _tiny_config(seed=seed)
 
     def test_repetitions_below_stream_block(self):
         # cell streams are phi_index * 10**6 + repetition
