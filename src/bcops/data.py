@@ -54,6 +54,31 @@ class RngStream:
         return RngStream(self.seed, mixed)
 
 
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Fail unless value is an integer (not a bool) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+def check_labels(name: str, labels, low: int, high: int | None, rows=None) -> np.ndarray:
+    """``labels`` as a 1-D int64 array. Fail, naming ``name``, unless every
+    entry is a whole number in low..high (no upper bound when high is None)
+    and, when ``rows`` is given, there are that many entries."""
+    raw = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage and fail below
+        out = raw.astype(np.int64, copy=False) if raw.dtype.kind in "biuf" else None
+    if out is None or not np.array_equal(out, raw):
+        raise ValueError(f"{name} must be whole numbers, got {raw.dtype} {raw.ravel()[:4]}")
+    if out.ndim != 1 or rows not in (None, out.size):
+        size = "" if rows is None else f" of {rows} entries"
+        raise ValueError(f"{name} must be a 1-D array{size}, got shape {out.shape}")
+    if out.size and (out.min() < low or (high is not None and out.max() > high)):
+        raise ValueError(f"{name} must " + (f"be >= {low}" if high is None else f"lie in {low}..{high}"))
+    return out
+
+
 def _check_features(features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -73,14 +98,9 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", _check_features(self.features))
-        labels = np.asarray(self.labels, dtype=np.int64)
+        check_count("class_count", self.class_count)
+        labels = check_labels("labels", self.labels, 1, self.class_count, rows=self.n_rows)
         object.__setattr__(self, "labels", labels)
-        if labels.ndim != 1 or labels.shape[0] != self.features.shape[0]:
-            raise ValueError("labels length must equal feature row count")
-        if self.class_count < 1:
-            raise ValueError("class_count must be >= 1")
-        if labels.size and (labels.min() < 1 or labels.max() > self.class_count):
-            raise ValueError(f"labels must lie in 1..{self.class_count}")
 
     @property
     def n_rows(self) -> int:
@@ -105,12 +125,8 @@ class UnlabeledDataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", _check_features(self.features))
         if self.ground_truth is not None:
-            gt = np.asarray(self.ground_truth, dtype=np.int64)
+            gt = check_labels("ground_truth", self.ground_truth, OUTLIER, None, rows=self.n_rows)
             object.__setattr__(self, "ground_truth", gt)
-            if gt.ndim != 1 or gt.shape[0] != self.features.shape[0]:
-                raise ValueError("ground_truth length must equal feature row count")
-            if gt.size and gt.min() < 0:
-                raise ValueError("ground_truth entries must be >= 0 (0 marks outliers)")
 
     @property
     def n_rows(self) -> int:
@@ -133,8 +149,7 @@ def split_in_two(rows, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
 
 def stratified_subsample(data: LabeledDataset, per_class: int, rng: RngStream) -> LabeledDataset:
     """Sample exactly per_class rows of each class, without replacement."""
-    if per_class < 0:
-        raise ValueError("per_class must be >= 0")
+    check_count("per_class", per_class, minimum=0)
     g = rng.generator()
     chosen = []
     for k in range(1, data.class_count + 1):

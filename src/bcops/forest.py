@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import RngStream
+from .data import RngStream, _check_features, check_count, check_labels
 
 
 @dataclass(frozen=True)
@@ -23,24 +23,9 @@ class BinaryTrainingSet:
     targets: np.ndarray
 
     def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.int8)
-        if features.ndim != 2:
-            raise ValueError("features must be 2-D")
-        if targets.shape != (features.shape[0],):
-            raise ValueError("targets length must equal feature row count")
-        if targets.size and not np.isin(targets, (0, 1)).all():
-            raise ValueError("targets must be 0/1")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "targets", targets)
-
-
-def check_count(name: str, value, minimum: int = 1) -> None:
-    """Fail unless value is an integer (not a bool) of at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
+        object.__setattr__(self, "features", _check_features(self.features))
+        targets = check_labels("targets", self.targets, 0, 1, rows=self.features.shape[0])
+        object.__setattr__(self, "targets", targets.astype(np.int8))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import OUTLIER
+from .data import OUTLIER, check_labels
 
 CLASS_COVERAGE = "class_coverage"
 MEAN_COVERAGE = "mean_coverage"
@@ -40,12 +40,10 @@ def evaluate(include, truth) -> list[MetricRecord]:
     rows with an empty set. A record whose rows are absent is omitted.
     """
     include = np.asarray(include, dtype=bool)
-    truth = np.asarray(truth, dtype=np.int64)
-    if include.ndim != 2 or include.shape[0] == 0 or truth.shape != include.shape[:1]:
-        raise ValueError("need an (n, K) membership matrix, n >= 1, and n truth entries")
-    k_count = include.shape[1]
-    if truth.min() < OUTLIER or truth.max() > k_count:
-        raise ValueError(f"truth classes must lie in 1..{k_count} or be OUTLIER")
+    if include.ndim != 2 or include.shape[0] == 0:
+        raise ValueError("need an (n, K) membership matrix with n >= 1")
+    n, k_count = include.shape
+    truth = check_labels("truth classes (OUTLIER is 0)", truth, OUTLIER, k_count, rows=n)
 
     inlier = np.nonzero(truth != OUTLIER)[0]
     labels = truth[inlier]

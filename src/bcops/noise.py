@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RngStream
+from .data import RngStream, check_count, check_labels
 
 
 @dataclass(frozen=True)
@@ -25,17 +25,14 @@ class CorruptionSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.phi <= 1.0:
             raise ValueError("phi must lie in [0, 1]")
-        if self.class_count < 2:
-            raise ValueError("class_count must be >= 2")
+        check_count("class_count", self.class_count, minimum=2)
 
 
 def corrupt_labels(labels, spec: CorruptionSpec, rng: RngStream) -> np.ndarray:
     """Replace each label with probability ``spec.phi``; the module docstring
     describes how the replacement label is drawn."""
-    labels = np.asarray(labels, dtype=np.int64)
     k = spec.class_count
-    if labels.size and not 1 <= labels.min() <= labels.max() <= k:
-        raise ValueError(f"labels must lie in 1..{k}")
+    labels = check_labels("labels", labels, 1, k)
     g = rng.generator()
     fired = g.random(labels.size) < spec.phi
     if spec.inclusive_resampling:

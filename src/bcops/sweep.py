@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import fit_bcops, predict_all
-from .data import OUTLIER, LabeledDataset, RngStream, UnlabeledDataset, stratified_subsample
+from .data import OUTLIER, LabeledDataset, RngStream, UnlabeledDataset, check_count, stratified_subsample
 from .datagen import N_FEATURES, gen_example1_test, gen_example1_train, gen_example2
-from .forest import ForestConfig, check_count
+from .forest import ForestConfig
 from .metrics import MetricRecord, SummaryRow, class_order, evaluate
 from .mnist import load_mnist
 from .noise import CorruptionSpec, corrupt_labels
@@ -259,9 +259,9 @@ def write_csv(rows, path) -> None:
 
 
 def read_csv(path) -> tuple:
-    """Rows of a sweep CSV; a row without six fields, with a non-numeric phi,
-    repetition, class or value, or that MetricRecord rejects fails, naming
-    the file and line."""
+    """Rows of a sweep CSV. A row fails, naming the file and line, without six
+    fields, with a non-numeric field, a phi outside [0, 1], a negative
+    repetition, or a metric, class and value that MetricRecord rejects."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -282,6 +282,9 @@ def read_csv(path) -> tuple:
                     class_label=None if cls == "" else int(cls),
                     value=float(value),
                 )
+                if not 0.0 <= row.phi <= 1.0:
+                    raise ValueError(f"phi {row.phi} lies outside [0, 1]")
+                check_count("repetition", row.repetition, minimum=0)
                 MetricRecord(metric, row.value, row.class_label)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None

@@ -55,10 +55,13 @@ def test_validate_mnist_dry_run(tmp_path, capsys):
     assert "784 features" in capsys.readouterr().err
 
 
-def _write_idx_pair(tmp_path, role, digits):
+def _write_idx_pair(tmp_path, role, digits, rng=None):
+    """IDX files of the given digits; blank images unless rng draws the pixels."""
     img = tmp_path / f"{role}-images"
     lab = tmp_path / f"{role}-labels"
-    img.write_bytes(serialize_idx_images(np.zeros((len(digits), 784), dtype=np.uint8)))
+    shape = (len(digits), 784)
+    pixels = np.zeros(shape, np.uint8) if rng is None else rng.integers(0, 256, shape, np.uint8)
+    img.write_bytes(serialize_idx_images(pixels))
     lab.write_bytes(serialize_idx_labels(np.asarray(digits, dtype=np.uint8)))
     return {f"{role}_images": str(img), f"{role}_labels": str(lab)}
 
@@ -131,6 +134,13 @@ def test_bad_json_diagnostic(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_config_not_an_object(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    assert cli_main(["validate", "--config", str(path)]) == 1
+    assert f"config file {path} must contain a JSON object" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert cli_main(["validate", "--config", str(tmp_path / "absent.json")]) == 1
     assert "not found" in capsys.readouterr().err
@@ -180,6 +190,22 @@ def test_run_seed_override_changes_output(tmp_path):
     base = (out1 / "sweep.csv").read_bytes()
     assert base != (out2 / "sweep.csv").read_bytes()
     assert base == (out3 / "sweep.csv").read_bytes()
+
+
+def test_run_reps_override(tmp_path):
+    cfg = _write_config(tmp_path, phi_grid=[0.0], forest={"n_trees": 2, "min_node_size": 120})
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out), "--reps", "2"]) == 0
+    assert {row.repetition for row in bcops.read_csv(out / "sweep.csv")} == {0, 1}
+    assert json.loads((out / "run_metadata.json").read_text())["config"]["repetitions"] == 2
+
+
+def test_run_names_unwritable_output(tmp_path, capsys):
+    cfg = _write_config(tmp_path, phi_grid=[0.0], forest={"n_trees": 2, "min_node_size": 120})
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: failed to write CSV to {out / 'sweep.csv'}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("metric,value,message", [
@@ -292,6 +318,34 @@ def test_golden_sweep_bytes(tmp_path):
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# SHA-256 of sweep.csv and summary.csv of one tiny cell of each other
+# experiment, as written before the label and count rules moved into bcops.data.
+OTHER_GOLDEN_SHA256 = {
+    "example2": ("b555ad143effaddd49a6263ee906d3fc89310b8a6cddfb6cecc2289372077ae8",
+                 "8b565ca2aa8767ee4d1260a9775a723ab3d9e96ce9f92db0ef967c5c110930a0"),
+    "mnist": ("630d1efc3dc01492782eb473ce016c95b91a50b1c326115c55e5843474b42021",
+              "842bd34988b79e0f17e2a52f50dad98345b243f03946f8a5ea10d638d8e21bfb"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(OTHER_GOLDEN_SHA256))
+def test_golden_sweep_bytes_other_experiments(tmp_path, experiment):
+    # alpha 0.5 keeps the coverages of so small a run away from 1
+    overrides = {"experiment": experiment, "phi_grid": [0.2], "alpha": 0.5,
+                 "forest": {"n_trees": 2, "min_node_size": 25, "max_depth": 12}}
+    if experiment == "mnist":
+        g = np.random.default_rng(0)
+        files = {**_write_idx_pair(tmp_path, "train", [0, 1, 2, 3, 4, 5] * 6, g),
+                 **_write_idx_pair(tmp_path, "test", list(range(10)) * 2, g)}
+        overrides.update(mnist_paths=files, mnist_per_class=4,
+                         forest={"n_trees": 2, "min_node_size": 5, "max_depth": 4})
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    for name, digest in zip(("sweep.csv", "summary.csv"), OTHER_GOLDEN_SHA256[experiment]):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 

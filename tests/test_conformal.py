@@ -99,6 +99,11 @@ class TestFitBcops:
         with pytest.raises(ValueError):
             fit_bcops(_two_blob_data(), _matching_test(), SMALL_FOREST, 0.0, RngStream(0))
 
+    def test_empty_test_set_errors(self):
+        with pytest.raises(ValueError, match="test set must be non-empty"):
+            fit_bcops(_two_blob_data(), UnlabeledDataset(np.zeros((0, 2))), SMALL_FOREST, 0.05,
+                      RngStream(0))
+
     def test_transductive_determinism(self):
         args = (_two_blob_data(), _matching_test(), SMALL_FOREST, 0.05, RngStream(6))
         sets1 = predict_all(fit_bcops(*args))

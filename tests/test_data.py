@@ -5,9 +5,13 @@ from bcops.data import (
     LabeledDataset,
     RngStream,
     UnlabeledDataset,
+    check_labels,
     split_in_two,
     stratified_subsample,
 )
+from bcops.forest import BinaryTrainingSet
+from bcops.metrics import evaluate
+from bcops.noise import CorruptionSpec, corrupt_labels
 
 
 class TestRngStream:
@@ -129,3 +133,68 @@ class TestContainers:
     def test_unlabeled_ground_truth_optional(self):
         ds = UnlabeledDataset(np.zeros((3, 2)))
         assert ds.ground_truth is None
+
+
+def _two_rows():
+    return LabeledDataset(np.zeros((2, 1)), [1, 2], 2)
+
+
+# One input per rejection at each boundary that takes labels, a count or a
+# feature matrix.
+@pytest.mark.parametrize("call,message", [
+    (lambda: LabeledDataset(np.zeros((2, 1)), [1.9, 2.2], 2), "labels must be whole numbers"),
+    (lambda: UnlabeledDataset(np.zeros((2, 1)), [0.5, 1.7]), "ground_truth must be whole numbers"),
+    (lambda: BinaryTrainingSet(np.zeros((3, 1)), [0.5, 1, 0]), "targets must be whole numbers"),
+    (lambda: corrupt_labels([1.7, 2.2], CorruptionSpec(0.0, 2), RngStream(0)),
+     "labels must be whole numbers"),
+    (lambda: evaluate(np.ones((2, 3), dtype=bool), [1.5, 2.9]), "truth classes.*whole numbers"),
+    (lambda: LabeledDataset(np.zeros((2, 1)), [1, 1], True), "class_count must be an integer"),
+    (lambda: CorruptionSpec(0.5, 2.5), "class_count must be an integer"),
+    (lambda: stratified_subsample(_two_rows(), 1.5, RngStream(0)), "per_class must be an integer"),
+    (lambda: stratified_subsample(_two_rows(), True, RngStream(0)), "per_class must be an integer"),
+    (lambda: stratified_subsample(_two_rows(), -1, RngStream(0)), "per_class must be >= 0"),
+    (lambda: UnlabeledDataset(np.zeros((2, 1)), [0, -1]), "ground_truth must be >= 0"),
+    (lambda: BinaryTrainingSet(np.zeros((3, 1)), [0, 1]), "targets must be a 1-D array of 3"),
+    (lambda: BinaryTrainingSet(np.zeros((2, 1)), [0, 2]), r"targets must lie in 0\.\.1"),
+    (lambda: BinaryTrainingSet(np.full((2, 1), np.nan), [0, 1]), "NaN"),
+    (lambda: BinaryTrainingSet(np.zeros(2), [0, 1]), "2-D"),
+])
+def test_boundary_rejects(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_whole_number_floats_accepted_as_labels():
+    x = np.zeros((2, 1))
+    assert LabeledDataset(x, [1.0, 2.0], 2).labels.tolist() == [1, 2]
+    assert UnlabeledDataset(x, [0.0, 2.0]).ground_truth.tolist() == [0, 2]
+    assert BinaryTrainingSet(x, [1.0, 0.0]).targets.dtype == np.int8
+    spec = CorruptionSpec(0.5, 2)
+    assert np.array_equal(corrupt_labels([1.0, 2.0], spec, RngStream(3)),
+                          corrupt_labels([1, 2], spec, RngStream(3)))
+    assert evaluate(np.ones((2, 2), dtype=bool), [1.0, 0.0]) == evaluate(
+        np.ones((2, 2), dtype=bool), [1, 0])
+
+
+class TestCheckLabels:
+    def test_returns_int64_vector(self):
+        out = check_labels("y", np.array([3, 1], dtype=np.uint8), 1, 3)
+        assert out.dtype == np.int64 and out.tolist() == [3, 1]
+        assert check_labels("y", [], 1, 2, rows=0).shape == (0,)
+        assert check_labels("y", [7, 10**9], 0, None).tolist() == [7, 10**9]
+
+    @pytest.mark.parametrize("labels,rows,message", [
+        ([np.nan, 1.0], None, "y must be whole numbers"),
+        ([np.inf, 1.0], None, "y must be whole numbers"),
+        ([1e30], None, "y must be whole numbers"),
+        (["1", "2"], None, "y must be whole numbers"),
+        ([None, 1], None, "y must be whole numbers"),
+        ([[1, 2]], None, r"y must be a 1-D array, got shape \(1, 2\)"),
+        ([1, 2], 3, r"y must be a 1-D array of 3 entries, got shape \(2,\)"),
+        ([0, 2], None, r"y must lie in 1\.\.3"),
+        ([1, 4], None, r"y must lie in 1\.\.3"),
+    ])
+    def test_rejects(self, labels, rows, message):
+        with pytest.raises(ValueError, match=message):
+            check_labels("y", labels, 1, 3, rows=rows)
+

@@ -397,3 +397,36 @@ def test_config_validation():
         with pytest.raises(ValueError, match="must be an integer"):
             ForestConfig(**bad)
     assert ForestConfig(n_trees=np.int64(3), max_depth=1).n_trees == 3
+
+
+@settings(deadline=None)
+@given(
+    rows=st.integers(2, 60),
+    cols=st.integers(1, 4),
+    ties=st.booleans(),
+    min_node_size=st.integers(1, 70),
+    max_depth=st.none() | st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_leaves_agree_with_their_rows(rows, cols, ties, min_node_size, max_depth, seed):
+    # Every leaf holds at least one of its tree's bootstrap rows, the leaves
+    # share out all n of them, and each leaf's prob is its rows' mean target.
+    g = np.random.default_rng(seed)
+    x = g.integers(0, 4, size=(rows, cols)).astype(float) if ties else g.normal(size=(rows, cols))
+    y = g.integers(0, 2, size=rows)
+    y[:2] = 0, 1
+    config = ForestConfig(n_trees=3, min_node_size=min_node_size, max_depth=max_depth,
+                          seed_stream=RngStream(seed % 97))
+    model = train_forest(BinaryTrainingSet(x, y), config)
+    for t, tree in enumerate(model.trees):
+        boot = config.seed_stream.derive(t).generator().integers(0, rows, size=rows)
+        xb, node = x[boot], np.zeros(rows, dtype=np.intp)
+        for _ in range(tree.levels):
+            go_left = xb[np.arange(rows), tree.feature[node]] < tree.threshold[node]
+            node = np.where(go_left, tree.left[node], tree.right[node])
+        leaves = np.nonzero(np.isnan(tree.threshold))[0]
+        counts = np.bincount(node, minlength=tree.prob.size)
+        assert np.isin(node, leaves).all()
+        assert counts.sum() == rows and (counts[leaves] > 0).all()
+        hits = np.bincount(node, weights=y[boot], minlength=tree.prob.size)
+        assert np.array_equal(tree.prob[leaves], hits[leaves] / counts[leaves])

@@ -80,6 +80,12 @@ def test_truncated_pixels(sample_pair):
         parse_idx_images(buf)
 
 
+def test_truncated_labels():
+    buf = serialize_idx_labels(np.arange(10, dtype=np.uint8))[:-3]
+    with pytest.raises(IdxFormatError, match="label data ends at byte offset 15, need 18"):
+        parse_idx_labels(buf)
+
+
 def test_wrong_geometry():
     import struct
 

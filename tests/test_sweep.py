@@ -240,6 +240,10 @@ class TestCsv:
         ("example1,0.1000,x,mean_coverage,,0.500000", "invalid literal for int"),
         ("example1,0.1000,0,class_coverage,one,0.500000", "invalid literal for int"),
         ("example1,0.1000,0,mean_coverage,,high", "could not convert string to float: 'high'"),
+        ("example1,nan,0,mean_coverage,,0.500000", r"phi nan lies outside \[0, 1\]"),
+        ("example1,1.5000,0,mean_coverage,,0.500000", r"phi 1.5 lies outside \[0, 1\]"),
+        ("example1,-0.0001,0,mean_coverage,,0.500000", r"phi -0.0001 lies outside \[0, 1\]"),
+        ("example1,0.1000,-3,mean_coverage,,0.500000", "repetition must be >= 0"),
     ])
     def test_read_rejects_invalid_rows(self, tmp_path, line, problem):
         path = tmp_path / "bad.csv"
