@@ -2,8 +2,10 @@
 
 Config files are JSON with the ExperimentConfig field names. Flag overrides
 win over the file. ``validate`` loads the config and makes the checks of
-``sweep.check_inputs``; ``run`` makes the same checks before its first cell.
+``sweep.check_inputs``. Before its first cell, ``run`` creates its output
+directory, checks that it can write a file there, and makes the same checks.
 Sweep cells run in order on one thread; --threads is accepted and ignored.
+Each fit warning of a cell goes to stderr with the cell's phi and repetition.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,6 +50,11 @@ def _cmd_run(args) -> int:
     if args.reps is not None:
         config = replace(config, repetitions=args.reps)
     out_dir = Path(args.out or config.output_dir or "results")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        tempfile.TemporaryFile(dir=out_dir).close()
+    except OSError as exc:
+        raise OSError(f"cannot write to output directory {out_dir}: {exc}") from exc
 
     rows = run_sweep(config)
     write_csv(rows, out_dir / "sweep.csv")

@@ -62,20 +62,15 @@ def fit_bcops(
         raise ValueError("alpha must lie in (0, 1)")
     if not 0 < imbalance_cap < np.inf:
         raise ValueError("imbalance_cap must be > 0 and finite")
-    if test.n_rows == 0:
-        raise ValueError("test set must be non-empty")
+    if test.n_rows < 2:
+        raise ValueError(f"test set needs at least 2 rows, one per fold, got {test.n_rows}")
     k_count = train.class_count
     for k in range(1, k_count + 1):
         if not np.any(train.labels == k):
             raise ValueError(f"class {k} absent from the training set")
 
-    d1, d2 = split_in_two(np.arange(train.n_rows), rng.derive(1))
-    t1, t2 = split_in_two(np.arange(test.n_rows), rng.derive(2))
-    train_folds = {1: d1, 2: d2}
-    test_folds = {1: t1, 2: t2}
-    fold_assignment = np.zeros(test.n_rows, dtype=np.int8)
-    fold_assignment[t1] = 1
-    fold_assignment[t2] = 2
+    train_fold = split_in_two(train.n_rows, rng.derive(1))
+    fold_assignment = split_in_two(test.n_rows, rng.derive(2))
 
     classifiers: dict = {}
     calibration: dict = {}
@@ -84,13 +79,12 @@ def fit_bcops(
     for k in range(1, k_count + 1):
         for f in (1, 2):
             cell_rng = rng.derive(10 * k + f)
-            own = train_folds[f][train.labels[train_folds[f]] == k]
-            opp = train_folds[3 - f][train.labels[train_folds[3 - f]] == k]
-            tf = test_folds[f]
-            if own.size == 0 or tf.size == 0:
-                reason = (f"class {k} absent from training fold {f}" if own.size == 0
-                          else f"empty test fold {f}")
-                warnings.append(f"{reason}; p-values for (class {k}, fold {f}) fixed at 1")
+            own = np.nonzero((train.labels == k) & (train_fold == f))[0]
+            opp = np.nonzero((train.labels == k) & (train_fold != f))[0]
+            tf = np.nonzero(fold_assignment == f)[0]
+            if own.size == 0:
+                warnings.append(f"class {k} absent from training fold {f}; "
+                                f"p-values for (class {k}, fold {f}) fixed at 1")
                 classifiers[(k, f)] = None
                 calibration[(k, f)] = np.empty(0)
                 continue

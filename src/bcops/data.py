@@ -133,18 +133,16 @@ class UnlabeledDataset:
         return self.features.shape[0]
 
 
-def split_in_two(rows, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Uniformly random partition of row indices into two near-equal halves.
+def split_in_two(n: int, rng: RngStream) -> np.ndarray:
+    """Fold label, 1 or 2, of each of n rows, drawn uniformly at random.
 
-    Half sizes differ by at most 1 (the first half gets the extra row).
-    Each half is returned in ascending order.
+    Fold 1 holds (n+1)//2 rows and fold 2 holds n//2: fold 1 is the first
+    (n+1)//2 entries of a random permutation of 0..n-1.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        raise ValueError("empty split")
-    perm = rng.generator().permutation(rows)
-    cut = (rows.size + 1) // 2
-    return np.sort(perm[:cut]), np.sort(perm[cut:])
+    check_count("n", n)
+    folds = np.full(n, 2, dtype=np.int8)
+    folds[rng.generator().permutation(n)[: (n + 1) // 2]] = 1
+    return folds
 
 
 def stratified_subsample(data: LabeledDataset, per_class: int, rng: RngStream) -> LabeledDataset:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +24,17 @@ IMAGE_COLS = 28
 
 
 class IdxFormatError(ValueError):
-    """Raised for malformed IDX payloads; messages name the byte offset."""
+    """Raised for malformed IDX payloads, whose messages name the byte offset,
+    and for damaged gzip files, whose messages name the path."""
 
 
 def _read_payload(path) -> bytes:
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise IdxFormatError(f"{path}: damaged gzip file: {exc}") from None
     return raw
 
 

@@ -3,11 +3,14 @@ repetitions, collect long-form metric rows, and round-trip them as CSV.
 
 Cells run in order on one thread. Cell (phi index i, repetition r) draws
 from stream id i*10**6 + r, so its rows depend on nothing but the config.
+Each fit warning of a cell is printed on stderr with the cell's phi and
+repetition.
 """
 
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -197,6 +200,8 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
     model = fit_bcops(
         train, test, config.forest, config.alpha, fit_rng, imbalance_cap=config.imbalance_cap
     )
+    for warning in model.warnings:
+        print(f"warning: phi={phi}, repetition={rep}: {warning}", file=sys.stderr)
     sets = predict_all(model)
     records = evaluate(sets, test.ground_truth)
     return [
@@ -261,7 +266,9 @@ def write_csv(rows, path) -> None:
 def read_csv(path) -> tuple:
     """Rows of a sweep CSV. A row fails, naming the file and line, without six
     fields, with a non-numeric field, a phi outside [0, 1], a negative
-    repetition, or a metric, class and value that MetricRecord rejects."""
+    repetition, a metric, class and value that MetricRecord rejects, an
+    experiment other than the first row's, or the (phi, repetition, metric,
+    class) of an earlier row."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -269,6 +276,7 @@ def read_csv(path) -> tuple:
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected CSV header {header}")
         rows = []
+        seen: dict = {}  # (phi, repetition, metric, class) -> line
         for rec in reader:
             try:
                 if len(rec) != len(CSV_HEADER):
@@ -286,8 +294,16 @@ def read_csv(path) -> tuple:
                     raise ValueError(f"phi {row.phi} lies outside [0, 1]")
                 check_count("repetition", row.repetition, minimum=0)
                 MetricRecord(metric, row.value, row.class_label)
+                if rows and row.experiment != rows[0].experiment:
+                    raise ValueError(f"experiment {exp!r} differs from {rows[0].experiment!r} "
+                                     f"of the first row")
+                key = (row.phi, row.repetition, row.metric, row.class_label)
+                if key in seen:
+                    raise ValueError(f"repeats the phi, repetition, metric and class of "
+                                     f"line {seen[key]}")
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            seen[key] = reader.line_num
             rows.append(row)
     return tuple(rows)
 

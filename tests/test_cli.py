@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import importlib.util
 import json
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import bcops
+import bcops.sweep
 from bcops.cli import cli_main
 from bcops.mnist import serialize_idx_images, serialize_idx_labels
 
@@ -200,12 +202,52 @@ def test_run_reps_override(tmp_path):
     assert json.loads((out / "run_metadata.json").read_text())["config"]["repetitions"] == 2
 
 
-def test_run_names_unwritable_output(tmp_path, capsys):
+def test_run_names_unwritable_output(tmp_path, capsys, monkeypatch):
+    cells = []
+    monkeypatch.setattr(bcops.sweep, "_run_cell", lambda *args: cells.append(args) or [])
     cfg = _write_config(tmp_path, phi_grid=[0.0], forest={"n_trees": 2, "min_node_size": 120})
     out = tmp_path / "taken"
     out.write_text("a file, not a directory\n")
     assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-    assert f"error: failed to write CSV to {out / 'sweep.csv'}" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: cannot write to output directory {out}: ")
+    assert cells == []
+
+
+def test_run_prints_fit_warnings(tmp_path, capsys):
+    # one training row per class lands in one training fold only: the other
+    # fold has no model for it, and its model calibrates on its own fold
+    g = np.random.default_rng(0)
+    files = {**_write_idx_pair(tmp_path, "train", [0, 1, 2, 3, 4, 5] * 2, g),
+             **_write_idx_pair(tmp_path, "test", list(range(10)), g)}
+    cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=1,
+                        phi_grid=[0.0], forest={"n_trees": 2, "min_node_size": 5, "max_depth": 4})
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 12
+    assert all(line.startswith("warning: phi=0.0, repetition=0: class ") for line in lines)
+    assert sum(line.endswith("fixed at 1") for line in lines) == 6
+    assert sum(line.endswith("on its own fold") for line in lines) == 6
+
+
+@pytest.mark.parametrize("damage,reason", [
+    ("truncated", "Compressed file ended before the end-of-stream marker was reached"),
+    ("corrupted", "CRC check failed"),
+])
+def test_validate_names_damaged_gzip_file(tmp_path, capsys, damage, reason):
+    files = {**_write_idx_pair(tmp_path, "train", [0, 1, 2, 3, 4, 5]),
+             **_write_idx_pair(tmp_path, "test", [0, 6])}
+    path = Path(files["train_images"])
+    # level 0 stores the pixels as they are, so a flipped byte breaks only the CRC
+    packed = bytearray(gzip.compress(path.read_bytes(), compresslevel=0))
+    if damage == "truncated":
+        del packed[len(packed) // 2:]
+    else:
+        packed[len(packed) // 2] ^= 0xFF
+    path.write_bytes(packed)
+    cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=1)
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: damaged gzip file: ") and reason in err
 
 
 @pytest.mark.parametrize("metric,value,message", [
@@ -223,6 +265,26 @@ def test_plot_rejects_bad_csv_row(tmp_path, capsys, metric, value, message):
     argv = ["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(out)]
     assert cli_main(argv) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plot_rejects_rows_of_several_experiments(tmp_path, capsys):
+    # averaged, these rows would plot one mean of 0.5 at phi 0.1
+    csv_path = tmp_path / "sweep.csv"
+    csv_path.write_text(
+        "experiment,phi,repetition,metric,class,value\n"
+        "example1,0.1000,0,mean_coverage,,0.900000\n"
+        "example2,0.1000,0,mean_coverage,,0.100000\n"
+        "bogus,0.1000,0,mean_coverage,,0.500000\n"
+    )
+    message = f"{csv_path}, line 3: experiment 'example2' differs from 'example1' of the first row"
+    with pytest.raises(ValueError) as err:
+        bcops.read_csv(csv_path)
+    assert str(err.value) == message
+    out = tmp_path / "plot.svg"
+    argv = ["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bcops.conformal as conformal_mod
 from bcops.conformal import BcopsModel, conformal_p_value, conformal_p_values, fit_bcops, predict_all
@@ -48,6 +50,18 @@ class TestConformalPValue:
             got = conformal_p_value(scores, cal)
             assert got.shape == (20,)
             assert got.tolist() == [_brute_force_p_value(s, cal) for s in scores]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 20), max_size=15), st.lists(st.integers(0, 20), min_size=1, max_size=15))
+def test_p_value_is_the_rank_count(calibration, scores):
+    # scores on a grid of 0.05 so that ties with the calibration are frequent
+    cal = np.sort(np.asarray(calibration, dtype=np.float64) / 20)
+    s = np.sort(np.asarray(scores, dtype=np.float64) / 20)
+    got = conformal_p_value(s, cal)
+    assert got.tolist() == [_brute_force_p_value(x, cal) for x in s]
+    assert np.all((got > 0) & (got <= 1))
+    assert np.all(np.diff(got) >= 0)
 
 
 def _two_blob_data(rng_seed=0, n=120):
@@ -100,9 +114,20 @@ class TestFitBcops:
             fit_bcops(_two_blob_data(), _matching_test(), SMALL_FOREST, 0.0, RngStream(0))
 
     def test_empty_test_set_errors(self):
-        with pytest.raises(ValueError, match="test set must be non-empty"):
+        with pytest.raises(ValueError, match="test set needs at least 2 rows, one per fold, got 0"):
             fit_bcops(_two_blob_data(), UnlabeledDataset(np.zeros((0, 2))), SMALL_FOREST, 0.05,
                       RngStream(0))
+
+    def test_one_row_test_set_errors(self):
+        # one row leaves a test fold empty, and its class sets would all be full
+        with pytest.raises(ValueError, match="test set needs at least 2 rows, one per fold, got 1"):
+            fit_bcops(_two_blob_data(), UnlabeledDataset(np.zeros((1, 2))), SMALL_FOREST, 0.05,
+                      RngStream(0))
+
+    def test_two_row_test_set_fills_both_folds(self):
+        model = fit_bcops(_two_blob_data(), UnlabeledDataset(np.zeros((2, 2))), SMALL_FOREST,
+                          0.05, RngStream(0))
+        assert sorted(model.fold_assignment.tolist()) == [1, 2] and not model.warnings
 
     def test_transductive_determinism(self):
         args = (_two_blob_data(), _matching_test(), SMALL_FOREST, 0.05, RngStream(6))
@@ -167,6 +192,14 @@ class TestPredict:
         pv = conformal_p_values(model)
         loose = pv > 0.01
         tight = pv > 0.10
+        assert not (tight & ~loose).any()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.001, 0.999), st.floats(0.001, 0.999))
+    def test_sets_nested_in_alpha(self, fitted_model, a, b):
+        low, high = sorted((a, b))
+        loose = predict_all(replace(fitted_model, alpha=low))
+        tight = predict_all(replace(fitted_model, alpha=high))
         assert not (tight & ~loose).any()
 
     def test_all_p_below_alpha_abstains(self, model):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcops.data import (
     LabeledDataset,
@@ -40,40 +42,40 @@ class TestRngStream:
 
 class TestSplitInTwo:
     def test_partition_property_many_instances(self):
-        # disjointness + union over 1000 random instances
         g = np.random.default_rng(0)
         for i in range(1000):
             n = int(g.integers(1, 40))
-            rows = np.sort(g.choice(10_000, size=n, replace=False))
-            a, b = split_in_two(rows, RngStream(1, i))
-            assert abs(len(a) - len(b)) <= 1
-            merged = np.concatenate([a, b])
-            assert len(np.unique(merged)) == n
-            assert np.array_equal(np.sort(merged), rows)
+            folds = split_in_two(n, RngStream(1, i))
+            assert folds.dtype == np.int8 and folds.shape == (n,)
+            assert np.bincount(folds, minlength=3).tolist() == [0, (n + 1) // 2, n // 2]
 
     def test_even_input_covers_all(self):
-        a, b = split_in_two(np.arange(10), RngStream(5))
-        assert len(a) == len(b) == 5
-        assert np.array_equal(np.sort(np.concatenate([a, b])), np.arange(10))
+        assert np.bincount(split_in_two(10, RngStream(5))).tolist() == [0, 5, 5]
 
     def test_single_row(self):
-        a, b = split_in_two([7], RngStream(0))
-        assert a.tolist() == [7] and b.tolist() == []
+        assert split_in_two(1, RngStream(0)).tolist() == [1]
 
     def test_deterministic(self):
-        rows = np.arange(1000)
-        first = split_in_two(rows, RngStream(77, 3))
-        second = split_in_two(rows, RngStream(77, 3))
-        assert np.array_equal(first[0], second[0])
-        assert np.array_equal(first[1], second[1])
+        first = split_in_two(1000, RngStream(77, 3))
+        assert np.array_equal(first, split_in_two(1000, RngStream(77, 3)))
 
-    def test_halves_ascending(self):
-        a, b = split_in_two(np.arange(101), RngStream(2))
-        assert np.all(np.diff(a) > 0) and np.all(np.diff(b) > 0)
+    def test_fold_one_is_the_head_of_a_permutation(self):
+        # the draws of the index halves that the folds replaced
+        head = RngStream(2).generator().permutation(np.arange(101, dtype=np.int64))[:51]
+        assert np.array_equal(np.nonzero(split_in_two(101, RngStream(2)) == 1)[0], np.sort(head))
 
     def test_empty_error(self):
-        with pytest.raises(ValueError, match="empty split"):
-            split_in_two([], RngStream(0))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            split_in_two(0, RngStream(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 500), st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+def test_split_in_two_fold_sizes_and_replay(n, seed, stream_id):
+    folds = split_in_two(n, RngStream(seed, stream_id))
+    assert np.count_nonzero(folds == 1) == (n + 1) // 2
+    assert np.count_nonzero(folds == 2) == n // 2
+    assert np.array_equal(folds, split_in_two(n, RngStream(seed, stream_id)))
 
 
 def _dataset(rows_per_class, k, seed=0):

@@ -51,6 +51,27 @@ def test_gzip_detection(sample_pair, tmp_path):
     assert np.array_equal(loaded, digits)
 
 
+@pytest.mark.parametrize("damage,reason", [
+    ("truncated", "Compressed file ended before the end-of-stream marker was reached"),
+    ("corrupted", "CRC check failed"),
+])
+@pytest.mark.parametrize("which", [0, 1], ids=["images", "labels"])
+def test_damaged_gzip_names_the_file(sample_pair, tmp_path, damage, reason, which):
+    paths = list(sample_pair[2:])
+    damaged = tmp_path / "damaged.gz"
+    # level 0 stores the payload as it is, so a flipped byte breaks only the CRC
+    packed = bytearray(gzip.compress(paths[which].read_bytes(), compresslevel=0))
+    if damage == "truncated":
+        del packed[len(packed) // 2:]
+    else:
+        packed[len(packed) // 2] ^= 0xFF
+    damaged.write_bytes(packed)
+    paths[which] = damaged
+    with pytest.raises(IdxFormatError) as err:
+        load_mnist(*paths)
+    assert str(err.value) == f"{damaged}: damaged gzip file: {reason}"
+
+
 def test_header_round_trip(sample_pair):
     # re-serializing parsed content reproduces the original bytes, header included
     images, digits, img_path, lab_path = sample_pair
