@@ -20,7 +20,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _splitmix64(x: int) -> int:
-    """One round of the splitmix64 finalizer; decorrelates derived stream ids."""
+    """One round of the splitmix64 finalizer; decorrelates derived stream ids
+    and hashes the forest's node keys. It maps a Python int to an int and a
+    uint64 array, whose arithmetic wraps without warning, to a uint64 array."""
     x = (x + _GOLDEN) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64

@@ -2,9 +2,24 @@
 
 CART trees grown on bootstrap resamples, best-of-mtry Gini splits, leaf
 probability = raw fraction of target-1 rows in the leaf (no smoothing; only
-the score ordering matters downstream). Tree t draws from a stream derived
-from (seed_stream, t), so its draws do not depend on the trees grown
-before it.
+the score ordering matters downstream). A tree holds each of its bootstrap
+rows once, with the number of times it was drawn.
+
+All trees of a forest grow together, one depth level at a time, in the
+manner of the exact greedy search over presorted columns of XGBoost (Chen &
+Guestrin, arXiv:1603.02754, section 4.1). One argsort on segment * n + rank
+sorts the drawn columns of every node of the level, Gini comes from
+segmented cumulative sums, and each child keeps a slice of its parent's
+winning segment, so no rows are re-sorted or partitioned.
+
+Draws are keyed, as in counter-based random number generation (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). Tree t
+bootstraps from the stream derived from (seed_stream, t), and its root key
+hashes that stream's seed and id. A node key seeds a splitmix64 sequence:
+its first two outputs are the children's keys, and the node's features are
+the mtry whose next outputs are smallest. So a tree depends only on its own
+stream, never on the trees grown beside it, and keys never overflow at any
+depth.
 """
 
 from __future__ import annotations
@@ -14,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import RngStream, _check_features, check_count, check_labels
+from .data import _GOLDEN, RngStream, _check_features, _splitmix64, check_count, check_labels
 
 
 @dataclass(frozen=True)
@@ -63,102 +78,128 @@ class ForestModel:
     n_features: int
 
 
-def _node_sizes(n: int) -> np.ndarray:
-    """Row 0 holds 1, 2, ..., n - 1 as floats and row 1 their doubles: the
-    left and, reversed, the right child sizes of every split position of an
-    n-row node."""
-    k = np.arange(1, max(n, 2), dtype=np.float64)
-    return np.stack([k, 2.0 * k])
+def _sequence(keys: np.ndarray, length: int) -> np.ndarray:
+    """The first ``length`` outputs of the splitmix64 sequence that each
+    uint64 node key seeds, one row per key. Outputs 0 and 1 are the keys of
+    the node's left and right children, and output 2 + f ranks feature f."""
+    return _splitmix64(keys[:, None] + np.arange(length, dtype=np.uint64) * np.uint64(_GOLDEN))
 
 
-def _best_sorted_split(vs: np.ndarray, ys: np.ndarray, n1: int, sizes: np.ndarray):
-    """Best Gini split of a node whose m candidate features are the rows of
-    ``vs``, each sorted ascending, with ``ys`` the 0/1 targets in the same
-    order and ``n1`` their sum. ``sizes`` is _node_sizes of any row count
-    at least the node's.
+class _Splits(NamedTuple):
+    """The best split of each node searched at a level, and the level's rows
+    and their counts sorted within each (node, column) segment. The node's
+    winning segment starts at ``segment_start``, and its first
+    ``left_size`` distinct rows go left."""
 
-    Returns (row of vs, threshold, impurity_decrease, j, targets left) with
-    sorted positions 0..j going left, or None when no split has a strictly
-    positive decrease. Ties go to the lowest row, then the lowest position.
-    Candidates are the positions between distinct values whose midpoint t
-    leaves both children non-empty under the v < t rule, so the order of
-    tied values does not change the result.
+    decrease: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    segment_start: np.ndarray
+    left_size: np.ndarray
+    rows: np.ndarray
+    weight: np.ndarray
+
+
+def _best_splits(xt, rank, y, rows, weight, start, size, feats) -> _Splits:
+    """Best Gini split of every node i of a level. The node holds the
+    ``size[i]`` distinct rows ``rows[start[i]:start[i] + size[i]]`` of the
+    feature-major matrix ``xt``, each with its bootstrap count in
+    ``weight``, and searches the ascending columns ``feats[i]``. ``rank``
+    holds each row's position in its column's sorted order and ``y`` the
+    float 0/1 targets.
+
+    Each (node, column) pair is a segment of the node's rows sorted by that
+    column. A split position lies between two distinct values whose
+    midpoint t leaves both children non-empty under the v < t rule, so the
+    order of tied values does not change the result. A node takes its first
+    largest decrease: lowest column, then lowest position. Its decrease is
+    -1 when no position is valid. Each temporary is freed as soon as it is
+    used, since the arrays here are the largest of the forest.
     """
-    n = vs.shape[1]
-    if n < 2:
-        return None
-    parent = 1.0 - (n1 / n) ** 2 - (1.0 - n1 / n) ** 2
-    if parent <= 0.0:
-        return None
-    nl, nr = sizes[:, : n - 1], sizes[:, n - 2 :: -1]
-    l1 = ys[:, :-1].cumsum(axis=1)
-    ql = l1 / nl[0]
-    qr = (n1 - l1) / nr[0]
+    n_rows = xt.shape[1]
+    mtry = feats.shape[1]
+    seglen = np.repeat(size, mtry)
+    end = np.cumsum(seglen)
+    first = end - seglen
+    # one argsort on segment * n_rows + rank sorts every segment at once;
+    # element e of segment s is row start[s // mtry] + e - first[s] of the level
+    src = np.repeat(np.repeat(start, mtry) - first, seglen)
+    src += np.arange(end[-1])
+    col = np.repeat(feats.ravel() * n_rows, seglen)
+    key = np.repeat(np.arange(seglen.size) * n_rows, seglen)
+    col += rows[src]
+    key += rank.ravel()[col]
+    del col
+    order = key.argsort()
+    del key
+    src = src[order]
+    del order
+    sorted_rows, w = rows[src], weight[src]
+    del src
+    col = np.repeat(feats.ravel() * n_rows, seglen)
+    col += sorted_rows
+    v = xt.ravel()[col]
+    del col
+    with np.errstate(over="ignore"):  # an infinite midpoint is never valid
+        mid = v[:-1] + v[1:]
+    mid *= 0.5
+    invalid = v[:-1] >= mid
+    invalid |= mid > v[1:]
+    del v, mid
+    last = end - 1
+    invalid[last[:-1]] = True  # pairs that straddle two segments
+
+    # counts and target counts left and right of each position within its
+    # segment
+    nl = np.cumsum(w, dtype=np.float64)
+    l1 = y[sorted_rows]
+    l1 *= w
+    np.cumsum(l1, out=l1)
+    for cum in (nl, l1):
+        cum -= np.repeat(np.concatenate(([0.0], cum[last[:-1]])), seglen)
+    n, n1 = nl[last], l1[last]
+    nr = np.repeat(n, seglen)
+    nr -= nl
+    r1 = np.repeat(n1, seglen)
+    r1 -= l1
+
     # (nl * 2 * ql * (1 - ql) + nr * 2 * qr * (1 - qr)) / n, one float
-    # operation at a time in that order, so each decrease keeps the exact
-    # value that breaks near-ties between positions
-    child = nl[1] * ql
-    child *= 1.0 - ql
-    right = nr[1] * qr
-    right *= 1.0 - qr
-    child += right
-    child /= n
-    decrease = np.where(vs[:, :-1] < vs[:, 1:], parent - child, -1.0)
-    while True:
-        # the first maximum in row-major order: lowest row, then lowest position
-        c, j = divmod(int(decrease.argmax()), n - 1)
-        d = float(decrease[c, j])
-        if d <= 0.0:
-            return None
-        a, b = float(vs[c, j]), float(vs[c, j + 1])
-        threshold = 0.5 * (a + b)
-        if a < threshold <= b:
-            return c, threshold, d, j, int(l1[c, j])
-        # the midpoint of adjacent doubles rounds onto an endpoint and would
-        # leave one child empty under the v < t rule
-        decrease[c, j] = -1.0
+    # operation at a time in that order, in place over the counts
+    l1 /= nl
+    child = nl
+    child *= 2.0
+    child *= l1
+    np.subtract(1.0, l1, out=l1)
+    child *= l1
+    del nl, l1
+    with np.errstate(divide="ignore", invalid="ignore"):  # nr is 0 at segment ends
+        r1 /= nr
+    nr *= 2.0
+    nr *= r1
+    np.subtract(1.0, r1, out=r1)
+    nr *= r1
+    del r1
+    child += nr
+    del nr
+    child /= np.repeat(n, seglen)
+    q = n1 / n
+    decrease = np.subtract(np.repeat(1.0 - q * q - (1.0 - q) * (1.0 - q), seglen), child, out=child)
+    decrease[:-1][invalid] = -1.0
+    decrease[-1] = -1.0
+    del invalid
 
-
-def _grow_tree(xt, y, boot, g, mtry, min_node_size, max_depth) -> _Tree:
-    """Grow one tree on the bootstrap rows ``boot`` of the feature-major
-    matrix ``xt`` (one row per feature) with float 0/1 targets ``y``.
-
-    Each node is [feature, threshold, left, right, prob]. A new node is a
-    leaf (see _Tree), and a split overwrites its first four fields."""
-    p = xt.shape[0]
-    nodes = [[0, np.nan, 0, 0, 0.0]]
-    levels = 0
-    picked = np.arange(mtry)[:, None]
-    sizes = _node_sizes(boot.size)
-
-    # a node carries its rows and their target count; a split hands each
-    # child its rows in the order of the split feature
-    stack = [(0, boot, int(y[boot].sum()), 0)]
-    while stack:
-        idx, rows, n1, depth = stack.pop()
-        n = rows.size
-        nodes[idx][4] = n1 / n
-        if n1 in (0, n) or n <= min_node_size or (max_depth is not None and depth >= max_depth):
-            continue
-        feats = g.choice(p, size=mtry, replace=False)
-        feats.sort()
-        vals = xt[feats[:, None], rows]
-        order = vals.argsort(axis=1)
-        sorted_rows = rows[order]
-        found = _best_sorted_split(vals[picked, order], y[sorted_rows], n1, sizes)
-        if found is None:
-            continue
-        col, thr, _, j, left_n1 = found
-        li = len(nodes)
-        nodes[idx][:4] = int(feats[col]), thr, li, li + 1
-        nodes += [[0, np.nan, li, li, 0.0], [0, np.nan, li + 1, li + 1, 0.0]]
-        levels = max(levels, depth + 1)
-        stack.append((li, sorted_rows[col, : j + 1], left_n1, depth + 1))
-        stack.append((li + 1, sorted_rows[col, j + 1 :], n1 - left_n1, depth + 1))
-    feature, threshold, left, right, prob = np.array(nodes).T
-    return _Tree(
-        levels, feature.astype(np.intp), threshold, left.astype(np.intp), right.astype(np.intp), prob
-    )
+    block = first[::mtry]
+    best = np.maximum.reduceat(decrease, block)
+    hits = np.flatnonzero(decrease == np.repeat(best, size * mtry))
+    del decrease
+    j = hits[np.searchsorted(hits, block)]
+    seg = np.searchsorted(end, j, side="right")
+    feature = feats.ravel()[seg]
+    nxt = np.minimum(j + 1, last[seg])  # a node with no valid position has j at its end
+    with np.errstate(over="ignore"):
+        threshold = xt[feature, sorted_rows[j]] + xt[feature, sorted_rows[nxt]]
+    threshold *= 0.5
+    return _Splits(best, feature, threshold, first[seg], j - first[seg] + 1, sorted_rows, w)
 
 
 def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
@@ -172,12 +213,86 @@ def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
 
     xt = np.ascontiguousarray(x.T)
     yf = y.astype(np.float64)
-    trees = []
-    for t in range(config.n_trees):
-        g = config.seed_stream.derive(t).generator()
-        boot = g.integers(0, n, size=n)
-        trees.append(_grow_tree(xt, yf, boot, g, mtry, config.min_node_size, config.max_depth))
-    return ForestModel(trees=tuple(trees), n_features=p)
+    rank = np.empty((p, n), dtype=np.int32)
+    np.put_along_axis(rank, xt.argsort(axis=1), np.arange(n)[None, :], axis=1)
+    n_trees = config.n_trees
+
+    # the level's nodes in (tree, id) order; node i holds the size[i]
+    # distinct bootstrap rows rows[start[i]:start[i] + size[i]], each with
+    # its bootstrap count in weight
+    rows, weight, key = [], [], []
+    for t in range(n_trees):
+        stream = config.seed_stream.derive(t)
+        counts = np.bincount(stream.generator().integers(0, n, size=n), minlength=n)
+        rows.append(np.flatnonzero(counts).astype(np.int32))
+        weight.append(counts[rows[-1]].astype(np.int32))
+        key.append(_splitmix64(_splitmix64(stream.seed) ^ stream.stream_id))
+    size = np.array([r.size for r in rows])
+    rows, weight = np.concatenate(rows), np.concatenate(weight)
+    key = np.array(key, dtype=np.uint64)
+    tree = np.arange(n_trees)
+    ident = np.zeros(n_trees, dtype=np.intp)
+    count = np.ones(n_trees, dtype=np.intp)  # nodes per tree so far
+    levels = np.zeros(n_trees, dtype=np.intp)
+
+    parts = []
+    depth = 0
+    while True:
+        start = np.cumsum(size) - size
+        node_n = np.add.reduceat(weight, start).astype(np.float64)
+        node_n1 = np.add.reduceat(weight * yf[rows], start)
+        feature = np.zeros(tree.size, dtype=np.intp)
+        threshold = np.full(tree.size, np.nan)
+        left, right = ident.copy(), ident.copy()
+        parts.append((tree, ident, feature, threshold, left, right, node_n1 / node_n))
+        if config.max_depth is not None and depth >= config.max_depth:
+            break
+        cand = np.flatnonzero((node_n1 > 0) & (node_n1 < node_n) & (node_n > config.min_node_size))
+        if not cand.size:
+            break
+        seq = _sequence(key[cand], 2 + p)
+        feats = np.argpartition(seq[:, 2:], mtry - 1, axis=1)[:, :mtry]
+        feats.sort(axis=1)
+        found = _best_splits(xt, rank, yf, rows, weight, start[cand], size[cand], feats)
+        won = found.decrease > 0.0
+        split = cand[won]
+        if not split.size:
+            break
+        feature[split] = found.feature[won]
+        threshold[split] = found.threshold[won]
+        st = tree[split]
+        # the children of tree t's k-th split at this level are its nodes
+        # count[t] + 2k and count[t] + 2k + 1
+        lid = count[st] + 2 * (np.arange(st.size) - np.searchsorted(st, st))
+        count += 2 * np.bincount(st, minlength=n_trees)
+        left[split], right[split] = lid, lid + 1
+        levels[st] = depth + 1
+
+        # each child is a slice of its parent's winning segment
+        whole, lsize = size[split], found.left_size[won]
+        size = np.stack([lsize, whole - lsize], axis=1).ravel()
+        take = np.repeat(found.segment_start[won] - (np.cumsum(whole) - whole), whole)
+        take += np.arange(take.size)
+        rows, weight = found.rows[take], found.weight[take]
+        del found, take
+        key = seq[won, :2].ravel()
+        tree = np.repeat(st, 2)
+        ident = np.stack([lid, lid + 1], axis=1).ravel()
+        depth += 1
+
+    # node i of tree t goes to position offset[t] + i of each field
+    offset = np.cumsum(count) - count
+    tree, ident, *columns = (np.concatenate(c) for c in zip(*parts))
+    pos = offset[tree] + ident
+    fields = []
+    for c in columns:
+        fields.append(np.empty_like(c))
+        fields[-1][pos] = c
+    trees = tuple(
+        _Tree(int(levels[t]), *(f[offset[t] : offset[t] + count[t]] for f in fields))
+        for t in range(n_trees)
+    )
+    return ForestModel(trees=trees, n_features=p)
 
 
 def predict_probability_batch(model: ForestModel, x) -> np.ndarray:

@@ -25,17 +25,19 @@ IMAGE_COLS = 28
 
 class IdxFormatError(ValueError):
     """Raised for malformed IDX payloads, whose messages name the byte offset,
-    and for damaged gzip files, whose messages name the path."""
+    and for damaged gzip files. ``load_mnist`` prefixes both with the path."""
 
 
-def _read_payload(path) -> bytes:
+def _read_file(path, parse) -> np.ndarray:
+    """``parse`` of the payload of the raw or gzip IDX file at ``path``;
+    a format error names the path."""
     raw = Path(path).read_bytes()
-    if raw[:2] == b"\x1f\x8b":
-        try:
-            raw = gzip.decompress(raw)
-        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-            raise IdxFormatError(f"{path}: damaged gzip file: {exc}") from None
-    return raw
+    try:
+        return parse(gzip.decompress(raw) if raw[:2] == b"\x1f\x8b" else raw)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise IdxFormatError(f"{path}: damaged gzip file: {exc}") from None
+    except IdxFormatError as exc:
+        raise IdxFormatError(f"{path}: {exc}") from None
 
 
 def _read_u32(buf: bytes, offset: int, what: str) -> int:
@@ -85,8 +87,8 @@ def serialize_idx_labels(labels: np.ndarray) -> bytes:
 def load_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Parse an (images, labels) pair into pixels scaled to [0, 1] and the
     raw digit of each row."""
-    images = parse_idx_images(_read_payload(images_path))
-    labels = parse_idx_labels(_read_payload(labels_path))
+    images = _read_file(images_path, parse_idx_images)
+    labels = _read_file(labels_path, parse_idx_labels)
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"

@@ -4,12 +4,13 @@ repetitions, collect long-form metric rows, and round-trip them as CSV.
 Cells run in order on one thread. Cell (phi index i, repetition r) draws
 from stream id i*10**6 + r, so its rows depend on nothing but the config.
 Each fit warning of a cell is printed on stderr with the cell's phi and
-repetition.
+repetition, naming classes by their labels in sweep.csv.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -201,6 +202,8 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
         train, test, config.forest, config.alpha, fit_rng, imbalance_cap=config.imbalance_cap
     )
     for warning in model.warnings:
+        # name each class by its label in sweep.csv
+        warning = re.sub(r"\bclass (\d+)", lambda m: f"class {display.get(int(m[1]), m[1])}", warning)
         print(f"warning: phi={phi}, repetition={rep}: {warning}", file=sys.stderr)
     sets = predict_all(model)
     records = evaluate(sets, test.ground_truth)

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -227,6 +228,8 @@ def test_run_prints_fit_warnings(tmp_path, capsys):
     assert all(line.startswith("warning: phi=0.0, repetition=0: class ") for line in lines)
     assert sum(line.endswith("fixed at 1") for line in lines) == 6
     assert sum(line.endswith("on its own fold") for line in lines) == 6
+    # classes are named by their sweep.csv labels, the digits 0-5
+    assert {int(c) for line in lines for c in re.findall(r"class (\d+)", line)} == set(range(6))
 
 
 @pytest.mark.parametrize("damage,reason", [
@@ -248,6 +251,17 @@ def test_validate_names_damaged_gzip_file(tmp_path, capsys, damage, reason):
     assert cli_main(["validate", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: damaged gzip file: ") and reason in err
+
+
+def test_validate_names_truncated_idx_file(tmp_path, capsys):
+    files = {**_write_idx_pair(tmp_path, "train", [0, 1, 2, 3, 4, 5]),
+             **_write_idx_pair(tmp_path, "test", [0, 6])}
+    path = Path(files["train_images"])
+    path.write_bytes(path.read_bytes()[:-100])
+    cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=1)
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: truncated file: pixel data ends at byte offset ")
 
 
 @pytest.mark.parametrize("metric,value,message", [
@@ -361,15 +375,16 @@ def test_module_entry_point_runs():
     assert "config ok" in proc.stdout
 
 
-# SHA-256 of the outputs of the sweep below, as first written by the reference
-# implementation. Any change to these bytes is a behaviour change.
+# SHA-256 of the outputs of the sweep below, as first written by the
+# level-wise grower with node-keyed feature draws. Any change to these bytes
+# is a behaviour change.
 GOLDEN_SHA256 = {
-    "sweep.csv": "4dccbce3aa2eefe11f6e606cb5164ca4b1ecbcca33dfcdddf154aec485631727",
-    "summary.csv": "95f38bb04fa7cfbfaa758f28360d9b403b8db1837fa884da73fe11cc8dd89c7f",
+    "sweep.csv": "48416741ded6c9fb77b77e0a567ae8d2a774f36b50bed400579f2e0f6cdbc235",
+    "summary.csv": "3595464ec989f8941ec7b7193bf23658259dda53eaac70b8285749dd9bad066c",
     "run_metadata.json": "ba42de73d92cbd5fd3c938186b354e92dceb82229424fc63d8d2008e03e758f2",
-    "class_coverage.svg": "7b967c82d27ee1e9b41293a458f93c8fb972d1c97359a3b0afbf88583bf90ed8",
-    "mean_coverage.svg": "a8c67932ccbbd5d6168fac4004adbd33dbe56a4cc8cd9a75d7579e70e647ef26",
-    "abstention_rate.svg": "3e633148bba27c83fd5fa282fcf5484fe55903e8c3e73f4e1bece82562fdfafe",
+    "class_coverage.svg": "1227d2aa3a4c5432ef752839d5d6827c3032f4d2f0f95368a62b571dc6c0eff8",
+    "mean_coverage.svg": "83eea8571e0bcf76e3536e90225ee4ece584e8ae56e27905754d604e09267282",
+    "abstention_rate.svg": "f46a45b79b78b6b433c6a5af946d458cfeacd2cc4060e14840f691571de6969d",
 }
 
 
@@ -384,12 +399,13 @@ def test_golden_sweep_bytes(tmp_path):
 
 
 # SHA-256 of sweep.csv and summary.csv of one tiny cell of each other
-# experiment, as written before the label and count rules moved into bcops.data.
+# experiment, as first written by the level-wise grower with node-keyed
+# feature draws.
 OTHER_GOLDEN_SHA256 = {
-    "example2": ("b555ad143effaddd49a6263ee906d3fc89310b8a6cddfb6cecc2289372077ae8",
-                 "8b565ca2aa8767ee4d1260a9775a723ab3d9e96ce9f92db0ef967c5c110930a0"),
-    "mnist": ("630d1efc3dc01492782eb473ce016c95b91a50b1c326115c55e5843474b42021",
-              "842bd34988b79e0f17e2a52f50dad98345b243f03946f8a5ea10d638d8e21bfb"),
+    "example2": ("56049567d2a5076d25501d3b5b70da5aab53b274fa7803a57d14f020560f5038",
+                 "721b9b93be82488450d3d72bbbd80c62ce3c36f997f34fd47c403567a3ddef10"),
+    "mnist": ("d7f2212cbc55c09bf95b04b591aa3310a17145fd7e607664613703cf278ed548",
+              "f29403db7f620975bc504a600012c49808f1258b9fe438b42d17c520aa0321c7"),
 }
 
 

@@ -1,15 +1,18 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bcops.data import RngStream
+from bcops.data import _GOLDEN, _MASK64, RngStream, _splitmix64
 from bcops.forest import (
     BinaryTrainingSet,
     ForestConfig,
     ForestModel,
-    _best_sorted_split,
-    _node_sizes,
+    _best_splits,
+    _sequence,
     _Tree,
     predict_probability_batch,
     train_forest,
@@ -27,14 +30,19 @@ def _separable_1d(g, n_per_class=50, gap=1.0):
 
 def _best_split(values, targets):
     """(column, threshold, impurity_decrease) of the best split over the
-    columns of ``values``, each sorted here for _best_sorted_split, or None."""
-    vs = np.asarray(values, dtype=np.float64).T
-    ys = np.asarray(targets, dtype=np.float64)
-    order = vs.argsort(axis=1)
-    found = _best_sorted_split(
-        np.take_along_axis(vs, order, axis=1), ys[order], int(ys.sum()), _node_sizes(ys.size)
+    columns of ``values``, searched by _best_splits as one node holding
+    every row once, or None."""
+    xt = np.ascontiguousarray(np.asarray(values, dtype=np.float64).T)
+    cols, n = xt.shape
+    if n == 0:  # the grower never searches an empty node
+        return None
+    found = _best_splits(
+        xt, xt.argsort(axis=1).argsort(axis=1), np.asarray(targets, dtype=np.float64),
+        np.arange(n), np.ones(n), np.zeros(1, dtype=np.intp), np.full(1, n), np.arange(cols)[None, :],
     )
-    return None if found is None else found[:3]
+    if found.decrease[0] <= 0.0:
+        return None
+    return int(found.feature[0]), float(found.threshold[0]), float(found.decrease[0])
 
 
 def _split(values, targets):
@@ -140,6 +148,12 @@ class TestBestSplit:
         assert (col, thr) == (0, c)
         assert dec == pytest.approx(_gini(1, 2) - 2 / 3 * _gini(1, 1))
 
+    def test_midpoint_overflow(self):
+        # a + b overflows to inf, a threshold that would send both rows left
+        assert _split([1e308, 1.7e308], [0, 1]) is None
+        col, thr, _ = _split([1e308, 1.7e308, 0.0], [1, 1, 0])
+        assert (col, thr) == (0, 5e307)
+
     def test_picks_best_column(self):
         g = np.random.default_rng(43)
         for trial in range(100):
@@ -208,6 +222,54 @@ class TestTrainForest:
             assert np.array_equal(t1.prob, t2.prob)
 
 
+def _ex1_sized_set():
+    """1,000 rows of 10 features with a noisy binary target, the size of an
+    example1 binary set."""
+    g = np.random.default_rng(12)
+    x = g.normal(size=(1000, 10))
+    return BinaryTrainingSet(x, (x[:, 0] + x[:, 1] + g.normal(size=1000) > 0).astype(int))
+
+
+def test_growth_memory_peak():
+    # every per-level temporary is freed once used; keeping them all alive
+    # would triple this peak and show in the sweep's peak RSS
+    data = _ex1_sized_set()
+    config = ForestConfig(n_trees=10, min_node_size=25, max_depth=12, seed_stream=RngStream(1, 2))
+    tracemalloc.start()
+    try:
+        train_forest(data, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
+def test_tree_depends_only_on_its_stream():
+    # the first k trees of an m-tree forest are those of a k-tree forest
+    data = _ex1_sized_set()
+    config = ForestConfig(n_trees=7, min_node_size=3, seed_stream=RngStream(4, 9))
+    large = train_forest(data, config)
+    small = train_forest(data, ForestConfig(n_trees=3, min_node_size=3, seed_stream=RngStream(4, 9)))
+    for a, b in zip(small.trees, large.trees):
+        assert a.levels == b.levels > 0
+        for name in ("feature", "threshold", "left", "right", "prob"):
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
+def test_node_keys_distinct_along_deep_paths():
+    # child keys are hashes of the parent key, so they never overflow
+    root = np.array([_splitmix64(_splitmix64(2**64 - 1) ^ (2**64 - 1))], dtype=np.uint64)
+    seen = {int(root[0])}
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for side in (0, 1):  # all left, all right
+            key = root
+            for _ in range(100):
+                key = _sequence(key, 2)[:, side]
+                seen.add(int(key[0]))
+    assert len(seen) == 201
+
+
 def _leaf(prob):
     """A one-node tree: the root is a leaf, its own child under a NaN threshold."""
     zero = np.zeros(1, dtype=np.intp)
@@ -253,7 +315,8 @@ def _reference_split(values, targets):
     if n < 2:
         return None
     n1 = int(targets.sum())
-    parent = 1.0 - (n1 / n) ** 2 - (1.0 - n1 / n) ** 2
+    q = n1 / n
+    parent = 1.0 - q * q - (1.0 - q) * (1.0 - q)
     best = None
     for c in range(m):
         order = np.argsort(values[:, c], kind="stable")
@@ -271,29 +334,48 @@ def _reference_split(values, targets):
     return best
 
 
-def _reference_tree(x, y, g, mtry, min_node_size, max_depth):
-    """One tree grown node by node, splitting rows with the v < t rule; each
-    node is [feature, threshold, left, right, prob]."""
-    boot = g.integers(0, x.shape[0], size=x.shape[0])
-    nodes = [[-1, 0.0, -1, -1, 0.0]]
-    stack = [(0, boot, 0)]
-    while stack:
-        idx, rows, depth = stack.pop()
+def _keyed(key, i):
+    """Output i of the splitmix64 sequence that the node key ``key`` seeds."""
+    return _splitmix64((key + i * _GOLDEN) & _MASK64)
+
+
+def _reference_tree(x, y, stream, mtry, min_node_size, max_depth):
+    """One tree grown depth first on its bootstrap rows, repeats included,
+    splitting rows with the v < t rule. A node draws the mtry features f
+    whose outputs 2 + f of its key's sequence are smallest, and its
+    children's keys are outputs 0 and 1. The nodes are numbered level by
+    level, each split's children next to each other; each node is
+    [feature, threshold, left, right, prob], with feature -1 at a leaf."""
+    p = x.shape[1]
+
+    def grow(rows, key, depth):
         n1 = int(y[rows].sum())
-        nodes[idx][4] = n1 / rows.size
+        node = [-1, 0.0, None, None, n1 / rows.size]
         if n1 in (0, rows.size) or rows.size <= min_node_size or (
             max_depth is not None and depth >= max_depth
         ):
-            continue
-        feats = np.sort(g.choice(x.shape[1], size=mtry, replace=False))
+            return node
+        feats = np.sort(sorted(range(p), key=lambda f: _keyed(key, 2 + f))[:mtry])
         found = _reference_split(x[rows][:, feats], y[rows].astype(np.float64))
-        if found is None:
-            continue
-        col, thr, _ = found
-        go_left = x[rows, feats[col]] < thr
-        nodes[idx][:4] = [int(feats[col]), thr, len(nodes), len(nodes) + 1]
-        nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
-        stack += [(len(nodes) - 2, rows[go_left], depth + 1), (len(nodes) - 1, rows[~go_left], depth + 1)]
+        if found is not None:
+            col, thr, _ = found
+            go_left = x[rows, feats[col]] < thr
+            node[:4] = [
+                int(feats[col]), thr,
+                grow(rows[go_left], _keyed(key, 0), depth + 1),
+                grow(rows[~go_left], _keyed(key, 1), depth + 1),
+            ]
+        return node
+
+    boot = stream.generator().integers(0, x.shape[0], size=x.shape[0])
+    queue = [grow(boot, _splitmix64(_splitmix64(stream.seed) ^ stream.stream_id), 0)]
+    nodes = []
+    for f, thr, left, right, prob in queue:  # the queue grows as it is read
+        if f < 0:
+            nodes.append([-1, 0.0, -1, -1, prob])
+        else:
+            nodes.append([f, thr, len(queue), len(queue) + 1, prob])
+            queue += [left, right]
     return nodes
 
 
@@ -356,7 +438,7 @@ def test_forest_matches_reference_bit_for_bit(values, rows, cols, mtry, min_node
     )
     model = train_forest(BinaryTrainingSet(x, y), config)
     trees = [
-        _reference_tree(x, y, config.seed_stream.derive(t).generator(), mtry, min_node_size, max_depth)
+        _reference_tree(x, y, config.seed_stream.derive(t), mtry, min_node_size, max_depth)
         for t in range(config.n_trees)
     ]
     for tree, nodes in zip(model.trees, trees):

@@ -72,6 +72,18 @@ def test_damaged_gzip_names_the_file(sample_pair, tmp_path, damage, reason, whic
     assert str(err.value) == f"{damaged}: damaged gzip file: {reason}"
 
 
+def test_truncated_raw_file_names_the_file(sample_pair, tmp_path):
+    _, _, img_path, lab_path = sample_pair
+    short = tmp_path / "short-images"
+    short.write_bytes(img_path.read_bytes()[:-100])
+    size = short.stat().st_size
+    with pytest.raises(IdxFormatError) as err:
+        load_mnist(short, lab_path)
+    assert str(err.value) == (
+        f"{short}: truncated file: pixel data ends at byte offset {size}, need {size + 100}"
+    )
+
+
 def test_header_round_trip(sample_pair):
     # re-serializing parsed content reproduces the original bytes, header included
     images, digits, img_path, lab_path = sample_pair
