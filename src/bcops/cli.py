@@ -79,11 +79,12 @@ def _cmd_plot(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = _load_config(args.config)
-    mnist_ctx = check_inputs(config)
-    if mnist_ctx is None:
+    pools = check_inputs(config)
+    if pools is None:
         detail = f"phi levels={len(config.phi_grid)}, repetitions={config.repetitions}"
     else:
-        detail = f"train rows={mnist_ctx[0].n_rows} (digits 0-5), test rows={mnist_ctx[1].n_rows}"
+        _, train_labels, _, truth = pools
+        detail = f"train rows={train_labels.size} (digits 0-5), test rows={truth.size}"
     print(f"config ok: experiment={config.experiment}, {detail}")
     return 0
 

@@ -147,17 +147,18 @@ def split_in_two(n: int, rng: RngStream) -> np.ndarray:
     return folds
 
 
-def stratified_subsample(data: LabeledDataset, per_class: int, rng: RngStream) -> LabeledDataset:
-    """Sample exactly per_class rows of each class, without replacement."""
+def stratified_subsample(labels: np.ndarray, class_count: int, per_class: int,
+                         rng: RngStream) -> np.ndarray:
+    """Ascending indices of exactly per_class rows of each class 1..class_count
+    of ``labels``, drawn without replacement."""
     check_count("per_class", per_class, minimum=0)
     g = rng.generator()
     chosen = []
-    for k in range(1, data.class_count + 1):
-        idx = np.nonzero(data.labels == k)[0]
+    for k in range(1, class_count + 1):
+        idx = np.nonzero(labels == k)[0]
         if idx.size < per_class:
             raise ValueError(
                 f"class {k} has only {idx.size} rows, need {per_class}"
             )
         chosen.append(g.choice(idx, size=per_class, replace=False))
-    keep = np.sort(np.concatenate(chosen)) if chosen else np.empty(0, dtype=np.int64)
-    return LabeledDataset(data.features[keep], data.labels[keep], data.class_count)
+    return np.sort(np.concatenate(chosen)) if chosen else np.empty(0, dtype=np.int64)

@@ -4,8 +4,10 @@ Big-endian binary containers: images carry magic 0x00000803 followed by
 count, rows (28) and cols (28) as 32-bit fields, then unsigned pixel bytes
 row-major; labels carry magic 0x00000801, count, then unsigned byte labels.
 Files may be raw or gzip-compressed (detected by the 0x1f8b prefix).
-Pixels are scaled to [0, 1]; digit labels are kept raw (0..9) and mapped to
-classes by the mnist experiment (``sweep.prepare_mnist``).
+Pixels stay uint8 until a caller has chosen the rows it needs, and
+``scale_pixels`` is the one rule that maps them to [0, 1]. Digit labels are
+kept raw (0..9) and mapped to classes by the mnist experiment
+(``sweep.prepare_mnist``).
 """
 
 from __future__ import annotations
@@ -85,12 +87,20 @@ def serialize_idx_labels(labels: np.ndarray) -> bytes:
 
 
 def load_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse an (images, labels) pair into pixels scaled to [0, 1] and the
-    raw digit of each row."""
+    """Parse an (images, labels) pair into the n x 784 uint8 pixels, a
+    read-only view of the file's payload, and the raw digit of each row."""
     images = _read_file(images_path, parse_idx_images)
     labels = _read_file(labels_path, parse_idx_labels)
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
         )
-    return images.astype(np.float64) / 255.0, labels.astype(np.int64)
+    return images, labels.astype(np.int64)
+
+
+def scale_pixels(pixels: np.ndarray) -> np.ndarray:
+    """uint8 pixels as float64 in [0, 1]: bit for bit ``astype(np.float64) /
+    255.0``, without its second float64 temporary."""
+    out = pixels.astype(np.float64)
+    out /= 255.0
+    return out

@@ -22,7 +22,7 @@ from .data import OUTLIER, LabeledDataset, RngStream, UnlabeledDataset, check_co
 from .datagen import N_FEATURES, gen_example1_test, gen_example1_train, gen_example2
 from .forest import ForestConfig
 from .metrics import MetricRecord, SummaryRow, class_order, evaluate
-from .mnist import load_mnist
+from .mnist import load_mnist, scale_pixels
 from .noise import CorruptionSpec, corrupt_labels
 
 EXPERIMENTS = ("example1", "example2", "mnist")
@@ -136,46 +136,55 @@ class SweepRow:
     value: float
 
 
-def prepare_mnist(paths: dict) -> tuple[LabeledDataset, UnlabeledDataset]:
-    """Load the IDX pairs. Training keeps the rows of _MNIST_TRAIN_DIGITS as
-    classes 1..6; a test row of any other label is an outlier. A training
-    file without rows of one of those digits fails."""
+def prepare_mnist(paths: dict) -> tuple:
+    """Load the IDX pairs as the raw pools (train pixels, train classes,
+    test pixels, test truth), pixels uint8. Training keeps the rows of
+    _MNIST_TRAIN_DIGITS as classes 1..6; a test row of any other label is an
+    outlier. A training file without rows of one of those digits fails."""
     digit_class = np.full(256, OUTLIER, dtype=np.int64)  # IDX labels are bytes
     digit_class[list(_MNIST_TRAIN_DIGITS)] = np.arange(1, len(_MNIST_TRAIN_DIGITS) + 1)
 
-    features, digits = load_mnist(paths["train_images"], paths["train_labels"])
+    pixels, digits = load_mnist(paths["train_images"], paths["train_labels"])
     labels = digit_class[digits]
     counts = np.bincount(labels, minlength=len(_MNIST_TRAIN_DIGITS) + 1)
     missing = [str(d) for k, d in enumerate(_MNIST_TRAIN_DIGITS, 1) if counts[k] == 0]
     if missing:
         raise ValueError(f"{paths['train_labels']}: no training rows of digit {', '.join(missing)}")
     keep = labels != OUTLIER
-    train = LabeledDataset(features[keep], labels[keep], len(_MNIST_TRAIN_DIGITS))
+    train_pixels, train_labels = pixels[keep], labels[keep]
 
-    features, digits = load_mnist(paths["test_images"], paths["test_labels"])
-    return train, UnlabeledDataset(features, digit_class[digits])
+    pixels, digits = load_mnist(paths["test_images"], paths["test_labels"])
+    return train_pixels, train_labels, pixels, digit_class[digits]
 
 
 def check_inputs(config: ExperimentConfig):
     """Check forest.mtry against the feature count and, for mnist, that every
-    training digit has at least mnist_per_class rows. Return the mnist
-    (train, test) pair that the cells share, or None."""
-    mnist_ctx = prepare_mnist(config.mnist_paths) if config.experiment == "mnist" else None
-    if mnist_ctx is not None:
-        counts = np.bincount(mnist_ctx[0].labels)[1:]  # prepare_mnist found every digit
+    training digit has at least mnist_per_class rows and that the test file
+    has at least 2 rows, one per fold, from labels and shapes alone. Return
+    the mnist raw pools of ``prepare_mnist``, or None."""
+    pools = prepare_mnist(config.mnist_paths) if config.experiment == "mnist" else None
+    n_features = N_FEATURES
+    if pools is not None:
+        train_pixels, train_labels, test_pixels, _ = pools
+        counts = np.bincount(train_labels)[1:]  # prepare_mnist found every digit
         k = int(np.argmin(counts))
         if config.mnist_per_class > counts[k]:
             raise ValueError(
                 f"mnist_per_class={config.mnist_per_class} exceeds the {counts[k]} training rows "
                 f"of digit {_MNIST_TRAIN_DIGITS[k]}"
             )
-    n_features = N_FEATURES if mnist_ctx is None else mnist_ctx[0].n_features
+        if test_pixels.shape[0] < 2:
+            raise ValueError(
+                f"{config.mnist_paths['test_images']}: the test set needs at least 2 rows, "
+                f"one per fold, got {test_pixels.shape[0]}"
+            )
+        n_features = train_pixels.shape[1]
     if config.forest.mtry is not None and config.forest.mtry > n_features:
         raise ValueError(
             f"forest.mtry={config.forest.mtry} exceeds the {n_features} features "
             f"of experiment {config.experiment}"
         )
-    return mnist_ctx
+    return pools
 
 
 def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
@@ -190,8 +199,9 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
     elif config.experiment == "example2":
         train, test = gen_example2(data_rng)
     else:
-        train, test = mnist_ctx
-        train = stratified_subsample(train, config.mnist_per_class, data_rng)
+        pixels, labels, test = mnist_ctx
+        rows = stratified_subsample(labels, len(_MNIST_TRAIN_DIGITS), config.mnist_per_class, data_rng)
+        train = LabeledDataset(scale_pixels(pixels[rows]), labels[rows], len(_MNIST_TRAIN_DIGITS))
         display = dict(enumerate(_MNIST_TRAIN_DIGITS, 1))
 
     spec = CorruptionSpec(phi, train.class_count, config.inclusive_resampling)
@@ -225,6 +235,12 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
 def run_sweep(config: ExperimentConfig) -> tuple:
     """Run every (phi, repetition) cell in order; fully deterministic given config."""
     mnist_ctx = check_inputs(config)
+    if mnist_ctx is not None:
+        # The cells share one float test set; the uint8 test pixels, and the
+        # file payload they view, are dropped before cell 1.
+        train_pixels, train_labels, test_pixels, truth = mnist_ctx
+        mnist_ctx = train_pixels, train_labels, UnlabeledDataset(scale_pixels(test_pixels), truth)
+        del test_pixels
     rows = []
     for i, phi in enumerate(config.phi_grid):
         for r in range(config.repetitions):

@@ -286,8 +286,8 @@ def test_criterion_10_mnist_desk_scale():
                 f"SKIPPED: set {MNIST_ENV} to a directory with the IDX files")
         pytest.skip(f"MNIST IDX files not available; set {MNIST_ENV}")
 
-    train, _ = prepare_mnist(paths)
-    assert train.n_rows == 36_017, f"digits 0-5 filter yielded {train.n_rows} rows"
+    _, train_labels, _, _ = prepare_mnist(paths)
+    assert train_labels.size == 36_017, f"digits 0-5 filter yielded {train_labels.size} rows"
 
     config = ExperimentConfig.from_dict({
         "experiment": "mnist",

@@ -102,6 +102,26 @@ def test_run_checks_mnist_per_class_before_first_cell(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("test_digits", [[], [0]], ids=["0-rows", "1-row"])
+def test_short_test_file_fails_before_first_cell(tmp_path, capsys, monkeypatch, command, test_digits):
+    # the two test folds need a row each
+    cells = []
+    monkeypatch.setattr(bcops.sweep, "_run_cell", lambda *args: cells.append(args) or [])
+    files = {**_write_idx_pair(tmp_path, "train", [0, 1, 2, 3, 4, 5]),
+             **_write_idx_pair(tmp_path, "test", test_digits)}
+    cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=1)
+    argv = [command, "--config", str(cfg)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {files['test_images']}: the test set needs at least 2 rows, one per fold, "
+        f"got {len(test_digits)}\n"
+    )
+    assert cells == []
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("field,value", [
     ("forest", [1]),
     ("phi_grid", 0.5),

@@ -86,33 +86,35 @@ def _dataset(rows_per_class, k, seed=0):
 
 class TestStratifiedSubsample:
     def test_zero_case(self):
-        out = stratified_subsample(_dataset(10, 2), 0, RngStream(1))
-        assert out.n_rows == 0
+        rows = stratified_subsample(_dataset(10, 2).labels, 2, 0, RngStream(1))
+        assert rows.size == 0
 
     def test_exhaustive_case_is_permutation(self):
         data = _dataset(10, 2)
-        out = stratified_subsample(data, 10, RngStream(1))
-        assert np.array_equal(out.features, data.features)
-        assert np.array_equal(out.labels, data.labels)
+        rows = stratified_subsample(data.labels, 2, 10, RngStream(1))
+        assert np.array_equal(data.features[rows], data.features)
+        assert np.array_equal(data.labels[rows], data.labels)
 
     def test_counts(self):
-        out = stratified_subsample(_dataset(100, 3), 20, RngStream(4))
-        assert out.n_rows == 60
+        data = _dataset(100, 3)
+        rows = stratified_subsample(data.labels, 3, 20, RngStream(4))
+        assert rows.size == 60
         for k in (1, 2, 3):
-            assert int((out.labels == k).sum()) == 20
+            assert int((data.labels[rows] == k).sum()) == 20
 
     def test_rows_kept_verbatim(self):
         data = _dataset(50, 2, seed=9)
-        out = stratified_subsample(data, 5, RngStream(2))
+        rows = stratified_subsample(data.labels, 2, 5, RngStream(2))
+        features, labels = data.features[rows], data.labels[rows]
         # every sampled row appears verbatim in the source with the same label
-        for i in range(out.n_rows):
-            matches = np.nonzero((data.features == out.features[i]).all(axis=1))[0]
+        for i in range(rows.size):
+            matches = np.nonzero((data.features == features[i]).all(axis=1))[0]
             assert matches.size == 1
-            assert data.labels[matches[0]] == out.labels[i]
+            assert data.labels[matches[0]] == labels[i]
 
     def test_insufficient_rows_names_class(self):
         with pytest.raises(ValueError, match="class 1"):
-            stratified_subsample(_dataset(10, 2), 11, RngStream(0))
+            stratified_subsample(_dataset(10, 2).labels, 2, 11, RngStream(0))
 
 
 class TestContainers:
@@ -152,9 +154,9 @@ def _two_rows():
     (lambda: evaluate(np.ones((2, 3), dtype=bool), [1.5, 2.9]), "truth classes.*whole numbers"),
     (lambda: LabeledDataset(np.zeros((2, 1)), [1, 1], True), "class_count must be an integer"),
     (lambda: CorruptionSpec(0.5, 2.5), "class_count must be an integer"),
-    (lambda: stratified_subsample(_two_rows(), 1.5, RngStream(0)), "per_class must be an integer"),
-    (lambda: stratified_subsample(_two_rows(), True, RngStream(0)), "per_class must be an integer"),
-    (lambda: stratified_subsample(_two_rows(), -1, RngStream(0)), "per_class must be >= 0"),
+    (lambda: stratified_subsample(_two_rows().labels, 2, 1.5, RngStream(0)), "per_class must be an integer"),
+    (lambda: stratified_subsample(_two_rows().labels, 2, True, RngStream(0)), "per_class must be an integer"),
+    (lambda: stratified_subsample(_two_rows().labels, 2, -1, RngStream(0)), "per_class must be >= 0"),
     (lambda: UnlabeledDataset(np.zeros((2, 1)), [0, -1]), "ground_truth must be >= 0"),
     (lambda: BinaryTrainingSet(np.zeros((3, 1)), [0, 1]), "targets must be a 1-D array of 3"),
     (lambda: BinaryTrainingSet(np.zeros((2, 1)), [0, 2]), r"targets must lie in 0\.\.1"),

@@ -1,7 +1,11 @@
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bcops.data import OUTLIER
 from bcops.mnist import (
@@ -9,10 +13,11 @@ from bcops.mnist import (
     load_mnist,
     parse_idx_images,
     parse_idx_labels,
+    scale_pixels,
     serialize_idx_images,
     serialize_idx_labels,
 )
-from bcops.sweep import prepare_mnist
+from bcops.sweep import ExperimentConfig, check_inputs, prepare_mnist
 
 
 @pytest.fixture
@@ -29,7 +34,9 @@ def sample_pair(tmp_path):
 
 def test_round_trip(sample_pair):
     images, digits, img_path, lab_path = sample_pair
-    features, loaded = load_mnist(img_path, lab_path)
+    pixels, loaded = load_mnist(img_path, lab_path)
+    assert pixels.dtype == np.uint8 and np.array_equal(pixels, images)
+    features = scale_pixels(pixels)
     assert features.shape == (30, 784)
     assert np.array_equal(loaded, digits)
     assert np.allclose(features * 255.0, images)
@@ -37,8 +44,22 @@ def test_round_trip(sample_pair):
 
 def test_pixels_scaled_to_unit_interval(sample_pair):
     _, _, img_path, lab_path = sample_pair
-    features, _ = load_mnist(img_path, lab_path)
+    features = scale_pixels(load_mnist(img_path, lab_path)[0])
     assert features.min() >= 0.0 and features.max() <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scaling_chosen_rows_matches_scaling_all(data):
+    # scaling is elementwise, so picking rows before or after it gives the
+    # same bits, and both match the division of the float64 copy
+    shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12))
+    pixels = data.draw(hnp.arrays(np.uint8, shape))
+    keep = np.array(data.draw(st.lists(st.integers(0, shape[0] - 1), max_size=20)), dtype=np.int64)
+    expected = pixels.astype(np.float64)[keep] / 255.0
+    for got in (scale_pixels(pixels)[keep], scale_pixels(pixels[keep])):
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_gzip_detection(sample_pair, tmp_path):
@@ -148,16 +169,17 @@ def test_prepare_mnist_fixed_digit_classes(tmp_path):
     train_digits = [7, 0, 5, 1, 9, 2, 3, 4, 6, 5, 8, 0]
     test_digits = [0, 6, 1, 2, 3, 7, 4, 5, 8, 9, 12, 255]
     paths = {**_write_pair(tmp_path, "train", train_digits), **_write_pair(tmp_path, "test", test_digits)}
-    train, test = prepare_mnist(paths)
+    train_pixels, train_labels, test_pixels, truth = prepare_mnist(paths)
     # digits 6-9 leave the training set; digit d is class d + 1
     kept = [d for d in train_digits if d <= 5]
-    assert train.class_count == 6
-    assert train.labels.tolist() == [d + 1 for d in kept]
-    features, _ = load_mnist(paths["train_images"], paths["train_labels"])
-    assert np.array_equal(train.features, features[np.array(train_digits) <= 5])
+    assert train_labels.max() == 6
+    assert train_labels.tolist() == [d + 1 for d in kept]
+    pixels, _ = load_mnist(paths["train_images"], paths["train_labels"])
+    assert train_pixels.dtype == np.uint8
+    assert np.array_equal(train_pixels, pixels[np.array(train_digits) <= 5])
     # digits 6-9 and label bytes outside 0-9 are outliers
-    assert test.ground_truth.tolist() == [1, OUTLIER, 2, 3, 4, OUTLIER, 5, 6] + [OUTLIER] * 4
-    assert test.n_rows == len(test_digits)
+    assert truth.tolist() == [1, OUTLIER, 2, 3, 4, OUTLIER, 5, 6] + [OUTLIER] * 4
+    assert test_pixels.shape == (len(test_digits), 784)
 
 
 def test_prepare_mnist_rejects_missing_training_digit(tmp_path):
@@ -167,3 +189,19 @@ def test_prepare_mnist_rejects_missing_training_digit(tmp_path):
     }
     with pytest.raises(ValueError, match="no training rows of digit 3"):
         prepare_mnist(paths)
+
+
+def test_check_inputs_peak_stays_near_the_uint8_payload(tmp_path):
+    # a float64 copy of either file would take 8 bytes per pixel
+    train_digits, test_digits = list(range(10)) * 60, list(range(10)) * 40
+    paths = {**_write_pair(tmp_path, "train", train_digits), **_write_pair(tmp_path, "test", test_digits)}
+    config = ExperimentConfig(experiment="mnist", mnist_paths=paths, mnist_per_class=10)
+    payload = (len(train_digits) + len(test_digits)) * 784
+    tracemalloc.start()
+    try:
+        pools = check_inputs(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pools[2].shape == (len(test_digits), 784)
+    assert peak <= 3 * payload, f"check_inputs peaked at {peak} B for {payload} B of pixels"
