@@ -71,7 +71,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    summary = aggregate_result(read_csv(args.csv))
+    rows = read_csv(args.csv)
+    if not rows:
+        raise ValueError(f"{args.csv}: no rows to plot")
+    summary = aggregate_result(rows)
     render_lineplot(summary, args.metric, args.out, alpha=args.alpha)
     print(f"wrote {args.out}")
     return 0

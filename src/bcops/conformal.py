@@ -64,6 +64,10 @@ def fit_bcops(
         raise ValueError("imbalance_cap must be > 0 and finite")
     if test.n_rows < 2:
         raise ValueError(f"test set needs at least 2 rows, one per fold, got {test.n_rows}")
+    if test.features.shape[1] != train.n_features:
+        raise ValueError(
+            f"test set has {test.features.shape[1]} features, training set has {train.n_features}"
+        )
     k_count = train.class_count
     for k in range(1, k_count + 1):
         if not np.any(train.labels == k):

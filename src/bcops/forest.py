@@ -60,14 +60,15 @@ class ForestConfig:
 
 class _Tree(NamedTuple):
     """Flat-array CART tree in the layout that scoring walks. Node 0 is the
-    root. A leaf is its own left and right child under a NaN threshold and
-    feature 0, so a row that reaches it stays there for the remaining
-    levels; ``levels`` is the depth of the deepest leaf."""
+    root. A split's children are adjacent, so it stores only its ``right``
+    child and its left child is ``right - 1``. A leaf is its own ``right``
+    child under a NaN threshold and feature 0: ``v < NaN`` is false for
+    every v, so a row that reaches it stays there for the remaining levels.
+    ``levels`` is the depth of the deepest leaf."""
 
     levels: int
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     prob: np.ndarray
 
@@ -243,8 +244,8 @@ def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
         node_n1 = np.add.reduceat(weight * yf[rows], start)
         feature = np.zeros(tree.size, dtype=np.intp)
         threshold = np.full(tree.size, np.nan)
-        left, right = ident.copy(), ident.copy()
-        parts.append((tree, ident, feature, threshold, left, right, node_n1 / node_n))
+        right = ident.copy()
+        parts.append((tree, feature, threshold, right, node_n1 / node_n))
         if config.max_depth is not None and depth >= config.max_depth:
             break
         cand = np.flatnonzero((node_n1 > 0) & (node_n1 < node_n) & (node_n > config.min_node_size))
@@ -265,7 +266,7 @@ def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
         # count[t] + 2k and count[t] + 2k + 1
         lid = count[st] + 2 * (np.arange(st.size) - np.searchsorted(st, st))
         count += 2 * np.bincount(st, minlength=n_trees)
-        left[split], right[split] = lid, lid + 1
+        right[split] = lid + 1
         levels[st] = depth + 1
 
         # each child is a slice of its parent's winning segment
@@ -280,18 +281,13 @@ def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
         ident = np.stack([lid, lid + 1], axis=1).ravel()
         depth += 1
 
-    # node i of tree t goes to position offset[t] + i of each field
-    offset = np.cumsum(count) - count
-    tree, ident, *columns = (np.concatenate(c) for c in zip(*parts))
-    pos = offset[tree] + ident
-    fields = []
-    for c in columns:
-        fields.append(np.empty_like(c))
-        fields[-1][pos] = c
-    trees = tuple(
-        _Tree(int(levels[t]), *(f[offset[t] : offset[t] + count[t]] for f in fields))
-        for t in range(n_trees)
-    )
+    # each level holds its nodes in (tree, id) order and a tree's ids grow
+    # from level to level, so a stable sort by tree puts each tree's nodes
+    # in id order
+    tree, *columns = (np.concatenate(c) for c in zip(*parts))
+    order = np.argsort(tree, kind="stable")
+    fields = [np.split(c[order], np.cumsum(count)[:-1]) for c in columns]
+    trees = tuple(_Tree(int(levels[t]), *(f[t] for f in fields)) for t in range(n_trees))
     return ForestModel(trees=trees, n_features=p)
 
 
@@ -308,7 +304,6 @@ def predict_probability_batch(model: ForestModel, x) -> np.ndarray:
     for tree in model.trees:
         idx = np.zeros(n, dtype=np.intp)
         for _ in range(tree.levels):
-            go_left = flat[start + tree.feature[idx]] < tree.threshold[idx]
-            idx = np.where(go_left, tree.left[idx], tree.right[idx])
+            idx = tree.right[idx] - (flat[start + tree.feature[idx]] < tree.threshold[idx])
         acc += tree.prob[idx]
     return acc / len(model.trees)

@@ -73,7 +73,9 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in (0, 1)")
         grid = tuple(float(p) for p in self.phi_grid)
         object.__setattr__(self, "phi_grid", grid)
-        if not grid or any(not 0.0 <= p <= 1.0 for p in grid):
+        if not grid:
+            raise ValueError("phi_grid needs at least one value")
+        if any(not 0.0 <= p <= 1.0 for p in grid):
             raise ValueError("phi_grid values must lie in [0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("phi_grid must be strictly ascending")

@@ -340,6 +340,17 @@ def test_plot_names_line_of_malformed_row(tmp_path, capsys, line, message):
     assert not out.exists()
 
 
+def test_plot_names_csv_without_rows(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    csv_path.write_text("experiment,phi,repetition,metric,class,value\n")
+    assert bcops.read_csv(csv_path) == ()
+    out = tmp_path / "plot.svg"
+    argv = ["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == f"error: {csv_path}: no rows to plot\n"
+    assert not out.exists()
+
+
 def test_validate_rejects_nonpositive_imbalance_cap(tmp_path, capsys):
     cfg = _write_config(tmp_path, imbalance_cap=-1)
     assert cli_main(["validate", "--config", str(cfg)]) == 1

@@ -118,6 +118,12 @@ class TestFitBcops:
             fit_bcops(_two_blob_data(), UnlabeledDataset(np.zeros((0, 2))), SMALL_FOREST, 0.05,
                       RngStream(0))
 
+    def test_feature_count_mismatch_errors_before_growth(self, monkeypatch):
+        monkeypatch.setattr(conformal_mod, "train_forest", lambda *a: pytest.fail("forest grown"))
+        with pytest.raises(ValueError, match="test set has 3 features, training set has 2"):
+            fit_bcops(_two_blob_data(), UnlabeledDataset(np.zeros((4, 3))), SMALL_FOREST, 0.05,
+                      RngStream(0))
+
     def test_one_row_test_set_errors(self):
         # one row leaves a test fold empty, and its class sets would all be full
         with pytest.raises(ValueError, match="test set needs at least 2 rows, one per fold, got 1"):

@@ -252,7 +252,7 @@ def test_tree_depends_only_on_its_stream():
     small = train_forest(data, ForestConfig(n_trees=3, min_node_size=3, seed_stream=RngStream(4, 9)))
     for a, b in zip(small.trees, large.trees):
         assert a.levels == b.levels > 0
-        for name in ("feature", "threshold", "left", "right", "prob"):
+        for name in ("feature", "threshold", "right", "prob"):
             assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
 
 
@@ -273,7 +273,7 @@ def test_node_keys_distinct_along_deep_paths():
 def _leaf(prob):
     """A one-node tree: the root is a leaf, its own child under a NaN threshold."""
     zero = np.zeros(1, dtype=np.intp)
-    return _Tree(0, zero, np.full(1, np.nan), zero, zero, np.array([prob]))
+    return _Tree(0, zero, np.full(1, np.nan), zero, np.array([prob]))
 
 
 class TestPredict:
@@ -395,14 +395,16 @@ def _reference_scores(trees, x):
 
 def _walk_layout(nodes):
     """A reference tree in _Tree's layout, one row per field, and the depth
-    of its deepest leaf."""
+    of its deepest leaf. A split's children must be adjacent, since _Tree
+    keeps only the right one."""
     layout = [
-        [0, np.nan, i, i, prob] if f < 0 else [f, t, left, right, prob]
-        for i, (f, t, left, right, prob) in enumerate(nodes)
+        [0, np.nan, i, prob] if f < 0 else [f, t, right, prob]
+        for i, (f, t, _, right, prob) in enumerate(nodes)
     ]
     depth = [0] * len(nodes)
     for i, (f, _, left, right, _) in enumerate(nodes):  # children follow their parent
         if f >= 0:
+            assert left == right - 1
             depth[left] = depth[right] = depth[i] + 1
     return np.array(layout).T, max(depth)
 
@@ -443,10 +445,16 @@ def test_forest_matches_reference_bit_for_bit(values, rows, cols, mtry, min_node
     ]
     for tree, nodes in zip(model.trees, trees):
         layout, levels = _walk_layout(nodes)
-        for k, name in enumerate(("feature", "threshold", "left", "right", "prob")):
+        for k, name in enumerate(("feature", "threshold", "right", "prob")):
             assert np.array_equal(getattr(tree, name), layout[k], equal_nan=True), name
         assert tree.levels == levels
-    x_new = np.vstack([x[:50], g.normal(size=(50, cols))])
+    # non-finite rows: v < t sends -inf left and +inf right at every
+    # finite threshold, and NaN right at every split
+    odd = g.normal(size=(12, cols))
+    odd[g.random(size=odd.shape) < 0.5] = np.nan
+    odd[:3] = [[np.nan], [np.inf], [-np.inf]]
+    odd[3:6, 0] = [np.nan, np.inf, -np.inf]
+    x_new = np.vstack([x[:50], g.normal(size=(50, cols)), odd])
     assert np.array_equal(predict_probability_batch(model, x_new), _reference_scores(trees, x_new))
 
 
@@ -505,7 +513,7 @@ def test_leaves_agree_with_their_rows(rows, cols, ties, min_node_size, max_depth
         xb, node = x[boot], np.zeros(rows, dtype=np.intp)
         for _ in range(tree.levels):
             go_left = xb[np.arange(rows), tree.feature[node]] < tree.threshold[node]
-            node = np.where(go_left, tree.left[node], tree.right[node])
+            node = np.where(go_left, tree.right[node] - 1, tree.right[node])
         leaves = np.nonzero(np.isnan(tree.threshold))[0]
         counts = np.bincount(node, minlength=tree.prob.size)
         assert np.isin(node, leaves).all()

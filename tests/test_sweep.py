@@ -63,6 +63,8 @@ class TestConfig:
     def test_phi_grid_range(self):
         with pytest.raises(ValueError):
             _tiny_config(phi_grid=[0.0, 1.5])
+        with pytest.raises(ValueError, match="phi_grid needs at least one value"):
+            _tiny_config(phi_grid=[])
 
     def test_mnist_requires_paths(self):
         with pytest.raises(ValueError, match="mnist_paths"):
