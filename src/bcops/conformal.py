@@ -140,6 +140,7 @@ def conformal_p_values(model: BcopsModel) -> np.ndarray:
             if clf is not None:
                 scores = predict_probability_batch(clf, x)
                 pv[rows, k - 1] = conformal_p_value(scores, model.calibration_scores[(k, f)])
+        del x  # free this fold's copy before the next fold's is made
     return pv
 
 

@@ -4,6 +4,7 @@ abstention rate, and the row type of their cross-repetition summary."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,19 +16,10 @@ ABSTENTION_RATE = "abstention_rate"
 METRIC_NAMES = (CLASS_COVERAGE, MEAN_COVERAGE, ABSTENTION_RATE)
 
 
-@dataclass(frozen=True)
-class MetricRecord:
+class MetricRecord(NamedTuple):
     metric_name: str
     value: float
     class_label: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.metric_name not in METRIC_NAMES:
-            raise ValueError(f"unknown metric {self.metric_name!r}")
-        if (self.class_label is not None) != (self.metric_name == CLASS_COVERAGE):
-            raise ValueError(f"a class is given iff the metric is {CLASS_COVERAGE}")
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"value {self.value} lies outside [0, 1]")
 
 
 def evaluate(include, truth) -> list[MetricRecord]:

@@ -93,7 +93,8 @@ def load_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     labels = _read_file(labels_path, parse_idx_labels)
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
-            f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
+            f"count mismatch: {images.shape[0]} images in {images_path} "
+            f"vs {labels.shape[0]} labels in {labels_path}"
         )
     return images, labels.astype(np.int64)
 

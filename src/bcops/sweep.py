@@ -21,7 +21,7 @@ from .conformal import fit_bcops, predict_all
 from .data import OUTLIER, LabeledDataset, RngStream, UnlabeledDataset, check_count, stratified_subsample
 from .datagen import N_FEATURES, gen_example1_test, gen_example1_train, gen_example2
 from .forest import ForestConfig
-from .metrics import MetricRecord, SummaryRow, class_order, evaluate
+from .metrics import CLASS_COVERAGE, METRIC_NAMES, SummaryRow, class_order, evaluate
 from .mnist import load_mnist, scale_pixels
 from .noise import CorruptionSpec, corrupt_labels
 
@@ -79,6 +79,9 @@ class ExperimentConfig:
             raise ValueError("phi_grid values must lie in [0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("phi_grid must be strictly ascending")
+        for a, b in zip(grid, grid[1:]):
+            if f"{a:.4f}" == f"{b:.4f}":
+                raise ValueError(f"phi_grid values {a} and {b} both print as {a:.4f} in sweep.csv")
         if self.repetitions is None:
             object.__setattr__(self, "repetitions", _DEFAULT_REPETITIONS[self.experiment])
         check_count("repetitions", self.repetitions)
@@ -130,12 +133,27 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One row of sweep.csv. Every row rule is checked here, where a row is made."""
+
     experiment: str
     phi: float
     repetition: int
     metric: str
     class_label: int | None  # display label (raw digit for mnist)
     value: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.phi <= 1.0:
+            raise ValueError(f"phi {self.phi} lies outside [0, 1]")
+        check_count("repetition", self.repetition, minimum=0)
+        if self.metric not in METRIC_NAMES:
+            raise ValueError(f"unknown metric {self.metric!r}")
+        if (self.class_label is not None) != (self.metric == CLASS_COVERAGE):
+            raise ValueError(f"a class is given iff the metric is {CLASS_COVERAGE}")
+        if self.class_label is not None:
+            check_count("class", self.class_label, minimum=0)
+        if not 0.0 <= self.value <= 1.0:
+            raise ValueError(f"value {self.value} lies outside [0, 1]")
 
 
 def prepare_mnist(paths: dict) -> tuple:
@@ -218,19 +236,10 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
         warning = re.sub(r"\bclass (\d+)", lambda m: f"class {display.get(int(m[1]), m[1])}", warning)
         print(f"warning: phi={phi}, repetition={rep}: {warning}", file=sys.stderr)
     sets = predict_all(model)
-    records = evaluate(sets, test.ground_truth)
     return [
-        SweepRow(
-            experiment=config.experiment,
-            phi=phi,
-            repetition=rep,
-            metric=rec.metric_name,
-            class_label=(
-                None if rec.class_label is None else display.get(rec.class_label, rec.class_label)
-            ),
-            value=rec.value,
-        )
-        for rec in records
+        SweepRow(config.experiment, phi, rep, r.metric_name,
+                 display.get(r.class_label, r.class_label), r.value)
+        for r in evaluate(sets, test.ground_truth)
     ]
 
 
@@ -286,10 +295,9 @@ def write_csv(rows, path) -> None:
 
 def read_csv(path) -> tuple:
     """Rows of a sweep CSV. A row fails, naming the file and line, without six
-    fields, with a non-numeric field, a phi outside [0, 1], a negative
-    repetition, a metric, class and value that MetricRecord rejects, an
-    experiment other than the first row's, or the (phi, repetition, metric,
-    class) of an earlier row."""
+    fields, with a non-numeric field, with fields that SweepRow rejects, with
+    an experiment other than the first row's, or with the (phi, repetition,
+    metric, class) of an earlier row."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -311,10 +319,6 @@ def read_csv(path) -> tuple:
                     class_label=None if cls == "" else int(cls),
                     value=float(value),
                 )
-                if not 0.0 <= row.phi <= 1.0:
-                    raise ValueError(f"phi {row.phi} lies outside [0, 1]")
-                check_count("repetition", row.repetition, minimum=0)
-                MetricRecord(metric, row.value, row.class_label)
                 if rows and row.experiment != rows[0].experiment:
                     raise ValueError(f"experiment {exp!r} differs from {rows[0].experiment!r} "
                                      f"of the first row")

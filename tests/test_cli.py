@@ -386,6 +386,12 @@ def test_validate_rejects_bad_forest_sizes(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+def test_validate_rejects_phi_grid_that_prints_twice(tmp_path, capsys):
+    cfg = _write_config(tmp_path, phi_grid=[0.10001, 0.10002])
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    assert "both print as 0.1000" in capsys.readouterr().err
+
+
 def test_validate_rejects_mtry_above_feature_count(tmp_path, capsys):
     # example1 has 10 features
     assert cli_main(["validate", "--config", str(_write_config(tmp_path, forest={"mtry": 10}))]) == 0

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -279,6 +280,23 @@ def test_score_order_sufficiency(monkeypatch):
     )
     monkeypatch.setattr(conformal_mod, "predict_probability_batch", patched)
     assert np.array_equal(predict_all(warped), baseline)
+
+
+def test_p_values_hold_one_test_fold_copy_at_a_time():
+    # each fold's copy of its test rows is half the test matrix; holding the
+    # first while the second is made would double the peak
+    g = np.random.default_rng(5)
+    train = LabeledDataset(g.normal(size=(40, 200)), np.repeat([1, 2], 20), 2)
+    test = UnlabeledDataset(g.normal(size=(4000, 200)))
+    config = ForestConfig(n_trees=2, min_node_size=5, max_depth=4)
+    model = fit_bcops(train, test, config, 0.1, RngStream(5), imbalance_cap=1.0)
+    tracemalloc.start()
+    try:
+        conformal_p_values(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * test.features.nbytes
 
 
 def test_super_uniformity_quick():

@@ -6,7 +6,6 @@ from bcops.metrics import (
     ABSTENTION_RATE,
     CLASS_COVERAGE,
     MEAN_COVERAGE,
-    MetricRecord,
     evaluate,
 )
 from bcops.sweep import SweepRow, aggregate_result
@@ -199,11 +198,12 @@ class TestAggregate:
 
 
 def test_metric_record_validation():
-    with pytest.raises(ValueError):
-        MetricRecord("bogus", 0.5)
-    with pytest.raises(ValueError):
-        MetricRecord(MEAN_COVERAGE, 0.5, class_label=1)
-    with pytest.raises(ValueError):
-        MetricRecord(CLASS_COVERAGE, 0.5)
-    with pytest.raises(ValueError):
-        MetricRecord(MEAN_COVERAGE, 1.5)
+    # the row rules sit on SweepRow; evaluate's records are valid by construction
+    with pytest.raises(ValueError, match="unknown metric"):
+        _row(0, 0.1, "bogus", 0.5)
+    with pytest.raises(ValueError, match="class is given iff"):
+        _row(0, 0.1, MEAN_COVERAGE, 0.5, class_label=1)
+    with pytest.raises(ValueError, match="class is given iff"):
+        _row(0, 0.1, CLASS_COVERAGE, 0.5)
+    with pytest.raises(ValueError, match="outside"):
+        _row(0, 0.1, MEAN_COVERAGE, 1.5)

@@ -152,8 +152,10 @@ def test_count_mismatch(sample_pair, tmp_path):
     images, _, img_path, _ = sample_pair
     short = tmp_path / "short-labels"
     short.write_bytes(serialize_idx_labels(np.zeros(7, dtype=np.uint8)))
-    with pytest.raises(IdxFormatError, match="count mismatch"):
+    with pytest.raises(IdxFormatError, match="count mismatch") as err:
         load_mnist(img_path, short)
+    assert f"30 images in {img_path}" in str(err.value)
+    assert f"7 labels in {short}" in str(err.value)
 
 
 def _write_pair(tmp_path, role, digits):

@@ -60,6 +60,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="ascending"):
             _tiny_config(phi_grid=[0.2, 0.1])
 
+    def test_phi_grid_must_print_distinctly(self):
+        # sweep.csv prints phi at 4 decimals, so these two would share keys
+        with pytest.raises(ValueError, match=r"values 0.10001 and 0.10002 both print as 0.1000"):
+            _tiny_config(phi_grid=[0.0, 0.10001, 0.10002])
+        assert _tiny_config(phi_grid=[0.1, 0.1001]).phi_grid == (0.1, 0.1001)
+
     def test_phi_grid_range(self):
         with pytest.raises(ValueError):
             _tiny_config(phi_grid=[0.0, 1.5])
@@ -235,6 +241,7 @@ class TestCsv:
         ("example1,0.1000,0,abstention_rate,,nan", "outside"),
         ("example1,0.1000,0,mean_coverage,2,0.500000", "class is given iff"),
         ("example1,0.1000,0,class_coverage,,0.500000", "class is given iff"),
+        ("example1,0.1000,0,class_coverage,-1,0.500000", "class must be >= 0"),
         ("", "expected 6 fields, got 0"),
         ("example1,0.1000,0,mean_coverage,0.500000", "expected 6 fields, got 5"),
         ("example1,0.1000,0,mean_coverage,,0.5,1", "expected 6 fields, got 7"),
