@@ -4,10 +4,12 @@ prediction sets, and abstention.
 Train and test rows are each split 50/50. For every class k and fold f a
 binary forest separates fold-f class-k training rows (target 1) from fold-f
 test rows (target 0). That model scores the opposite test fold and is
-calibrated on class-k rows of the opposite training fold, so no point is
-ranked against a calibration set its own model trained on. A class enters
-C(x) iff its rank-based p-value exceeds alpha; an empty set is an
-abstention.
+calibrated on class-k rows of the opposite training fold, and on nothing
+else, so no point is ranked against a calibration set its own model trained
+on. When class k has no rows in training fold f, or none in the other
+fold, pair (k, f) gets no model and an empty calibration set, so the class's
+p-values on the test fold that model would score are 1. A class enters C(x)
+iff its rank-based p-value exceeds alpha; an empty set is an abstention.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .forest import BinaryTrainingSet, ForestConfig, predict_probability_batch, 
 class BcopsModel:
     alpha: float
     class_count: int
-    # keyed by (class k, training fold f); classifier may be None when the
-    # class was absent from fold f (fail-open: p-value 1 for that side)
+    # keyed by (class k, training fold f); None, with empty calibration,
+    # when class k has no rows in fold f or in fold 3-f (p-value 1 there)
     classifiers: dict
     calibration_scores: dict  # (k, f) -> ascending np.ndarray
     fold_assignment: np.ndarray  # per test row, its test fold in {1, 2}
@@ -69,50 +71,39 @@ def fit_bcops(
             f"test set has {test.features.shape[1]} features, training set has {train.n_features}"
         )
     k_count = train.class_count
-    for k in range(1, k_count + 1):
-        if not np.any(train.labels == k):
-            raise ValueError(f"class {k} absent from the training set")
-
     train_fold = split_in_two(train.n_rows, rng.derive(1))
     fold_assignment = split_in_two(test.n_rows, rng.derive(2))
+    test_folds = {f: np.nonzero(fold_assignment == f)[0] for f in (1, 2)}
 
     classifiers: dict = {}
     calibration: dict = {}
     warnings: list[str] = []
 
     for k in range(1, k_count + 1):
+        rows = np.nonzero(train.labels == k)[0]
+        folds = {f: rows[train_fold[rows] == f] for f in (1, 2)}
         for f in (1, 2):
-            cell_rng = rng.derive(10 * k + f)
-            own = np.nonzero((train.labels == k) & (train_fold == f))[0]
-            opp = np.nonzero((train.labels == k) & (train_fold != f))[0]
-            tf = np.nonzero(fold_assignment == f)[0]
-            if own.size == 0:
-                warnings.append(f"class {k} absent from training fold {f}; "
-                                f"p-values for (class {k}, fold {f}) fixed at 1")
-                classifiers[(k, f)] = None
-                calibration[(k, f)] = np.empty(0)
-                continue
-
-            cap = max(1, int(imbalance_cap * own.size))
-            if tf.size > cap:
-                g = cell_rng.derive(1).generator()
-                tf = np.sort(g.choice(tf, size=cap, replace=False))
-
-            binary = BinaryTrainingSet(
-                np.vstack([train.features[own], test.features[tf]]),
-                np.concatenate([np.ones(own.size, dtype=np.int8), np.zeros(tf.size, dtype=np.int8)]),
-            )
-            model = train_forest(binary, replace(forest_config, seed_stream=cell_rng.derive(2)))
-            classifiers[(k, f)] = model
-
-            if not opp.size:
-                # fall back to in-sample rows rather than silently under-cover
-                warnings.append(
-                    f"class {k} absent from training fold {3 - f}; "
-                    f"calibrating (class {k}, fold {f}) on its own fold"
+            own, opp, tf = folds[f], folds[3 - f], test_folds[f]
+            model, cal = None, np.empty(0)
+            if own.size and opp.size:
+                cell_rng = rng.derive(10 * k + f)
+                cap = max(1, int(imbalance_cap * own.size))
+                if tf.size > cap:
+                    g = cell_rng.derive(1).generator()
+                    tf = np.sort(g.choice(tf, size=cap, replace=False))
+                binary = BinaryTrainingSet(
+                    np.vstack([train.features[own], test.features[tf]]),
+                    np.concatenate([np.ones(own.size, dtype=np.int8), np.zeros(tf.size, dtype=np.int8)]),
                 )
-            cal = predict_probability_batch(model, train.features[opp if opp.size else own])
-            calibration[(k, f)] = np.sort(cal)
+                model = train_forest(binary, replace(forest_config, seed_stream=cell_rng.derive(2)))
+                cal = np.sort(predict_probability_batch(model, train.features[opp]))
+            classifiers[(k, f)], calibration[(k, f)] = model, cal
+            m = cal.size
+            # no p-value is below 1/(m+1), and predict_all keeps a class iff p > alpha
+            if 1 / (m + 1) > alpha:
+                warnings.append(f"class {k} has {m} calibration rows for test fold {3 - f}: "
+                                f"p-values there are at least 1/{m + 1} > alpha {alpha}, "
+                                f"so it is in every set")
 
     return BcopsModel(
         alpha=alpha,

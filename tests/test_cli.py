@@ -234,22 +234,45 @@ def test_run_names_unwritable_output(tmp_path, capsys, monkeypatch):
     assert cells == []
 
 
-def test_run_prints_fit_warnings(tmp_path, capsys):
-    # one training row per class lands in one training fold only: the other
-    # fold has no model for it, and its model calibrates on its own fold
+def _one_row_per_class_config(tmp_path, **overrides):
     g = np.random.default_rng(0)
     files = {**_write_idx_pair(tmp_path, "train", [0, 1, 2, 3, 4, 5] * 2, g),
              **_write_idx_pair(tmp_path, "test", list(range(10)), g)}
-    cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=1,
-                        phi_grid=[0.0], forest={"n_trees": 2, "min_node_size": 5, "max_depth": 4})
+    return _write_config(tmp_path, **{
+        "experiment": "mnist", "mnist_paths": files, "mnist_per_class": 1, "phi_grid": [0.0],
+        "forest": {"n_trees": 2, "min_node_size": 5, "max_depth": 4}, **overrides})
+
+
+# At phi 0.1 the noise relabels every training row of one class in the
+# cell (phi=0.1, repetition=0).
+EMPTIED_CLASS = {"phi_grid": [0.0, 0.1], "repetitions": 3, "seed": 3}
+
+
+def test_run_prints_fit_warnings(tmp_path, capsys):
+    # one training row per class lands in one training fold only, so neither
+    # fold has a model with calibration rows for it
+    cfg = _one_row_per_class_config(tmp_path)
     assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 12
-    assert all(line.startswith("warning: phi=0.0, repetition=0: class ") for line in lines)
-    assert sum(line.endswith("fixed at 1") for line in lines) == 6
-    assert sum(line.endswith("on its own fold") for line in lines) == 6
+    pattern = (r"warning: phi=0\.0, repetition=0: class (\d) has 0 calibration rows for test fold "
+               r"([12]): p-values there are at least 1/1 > alpha 0\.05, so it is in every set")
+    pairs = {re.fullmatch(pattern, line).groups() for line in lines}
     # classes are named by their sweep.csv labels, the digits 0-5
-    assert {int(c) for line in lines for c in re.findall(r"class (\d+)", line)} == set(range(6))
+    assert pairs == {(str(c), t) for c in range(6) for t in "12"}
+
+
+def test_run_survives_a_class_emptied_by_noise(tmp_path, capsys, monkeypatch):
+    noisy = []
+    corrupt = bcops.sweep.corrupt_labels
+    monkeypatch.setattr(bcops.sweep, "corrupt_labels",
+                        lambda *args: noisy.append(corrupt(*args)) or noisy[-1])
+    cfg = _one_row_per_class_config(tmp_path, **EMPTIED_CLASS)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert any(np.bincount(labels, minlength=7)[1:].min() == 0 for labels in noisy)
+    assert {row.phi for row in bcops.read_csv(out / "sweep.csv")} == {0.0, 0.1}
+    assert "warning: phi=0.1, repetition=0: class " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage,reason", [
@@ -471,18 +494,22 @@ def _load_tracing(repo):
     return module
 
 
-@pytest.mark.parametrize("experiment", ["example1", "mnist"])
+@pytest.mark.parametrize("experiment", ["example1", "mnist", "mnist-emptied-class"])
 def test_benchmark_tracer_binds(tmp_path, experiment):
     # The traced benchmark run wraps names in bcops.cli, bcops.sweep and
     # bcops.conformal; a renamed or moved one would leave its time outside
-    # every layer or fail the recount of the cells.
+    # every layer or fail the recount of the cells. The emptied class has
+    # no model on either fold, so the recount covers p-value 1 too.
     repo = Path(__file__).resolve().parents[1]
     overrides = {"phi_grid": [0.0], "forest": {"n_trees": 2, "min_node_size": 5, "max_depth": 4}}
     if experiment == "mnist":
         files = {**_write_idx_pair(tmp_path, "train", [0, 1, 2, 3, 4, 5] * 6),
                  **_write_idx_pair(tmp_path, "test", list(range(10)) * 2)}
         overrides.update(experiment="mnist", mnist_paths=files, mnist_per_class=4)
-    cfg = _write_config(tmp_path, **overrides)
+    if experiment == "mnist-emptied-class":
+        cfg = _one_row_per_class_config(tmp_path, **EMPTIED_CLASS)
+    else:
+        cfg = _write_config(tmp_path, **overrides)
     spans = tmp_path / "spans.json"
     proc = subprocess.run(
         [sys.executable, str(repo / "benchmarks" / "launch.py"), "--trace", str(spans),
@@ -493,5 +520,7 @@ def test_benchmark_tracer_binds(tmp_path, experiment):
     trace = json.loads(spans.read_text())
     assert trace["rc"] == 0
     assert trace["failures"] == []
+    if experiment == "mnist-emptied-class":
+        assert "warning: phi=0.1, repetition=0: class " in proc.stderr
     layer_spans = {name for names in _load_tracing(repo).LAYER_SPANS.values() for name in names}
     assert {s["name"] for s in trace["spans"]} <= layer_spans

@@ -90,11 +90,64 @@ class TestFitBcops:
         for cal in model.calibration_scores.values():
             assert np.all(np.diff(cal) >= 0)
 
-    def test_class_absent_from_training_set_errors(self):
+    def test_absent_class_gets_p_value_one_with_one_warning_per_test_fold(self):
+        # labels can lose a class to noise; it then joins every set
         data = _two_blob_data()
-        bad = LabeledDataset(data.features, data.labels, class_count=3)
-        with pytest.raises(ValueError, match="class 3 absent"):
-            fit_bcops(bad, _matching_test(), SMALL_FOREST, 0.05, RngStream(3))
+        model = fit_bcops(LabeledDataset(data.features, data.labels, class_count=3),
+                          _matching_test(), SMALL_FOREST, 0.05, RngStream(3))
+        assert model.classifiers[(3, 1)] is None and model.classifiers[(3, 2)] is None
+        assert (conformal_p_values(model)[:, 2] == 1.0).all()
+        assert sorted(model.warnings) == [
+            f"class 3 has 0 calibration rows for test fold {t}: p-values there are at least "
+            "1/1 > alpha 0.05, so it is in every set"
+            for t in (1, 2)
+        ]
+
+    def test_class_in_one_training_fold_is_in_every_set(self, monkeypatch):
+        # Every class-2 training row lies in fold 1. Calibrating the fold-1
+        # model on its own training rows would rank held-out class-2 rows
+        # against scores that model was fit to, and drop some of them.
+        g = np.random.default_rng(0)
+        x = np.vstack([g.normal(0, 1, (400, 2)), g.normal(0, 1, (200, 2)) + [2.0, 0.0]])
+        labels = np.repeat([1, 2], [400, 200])
+        folds = np.where(labels == 2, 1, np.arange(600) % 2 + 1).astype(np.int8)
+        split = conformal_mod.split_in_two
+        monkeypatch.setattr(conformal_mod, "split_in_two",
+                            lambda n, rng: folds if n == 600 else split(n, rng))
+        test_x = np.vstack([g.normal(0, 1, (100, 2)), g.normal(0, 1, (100, 2)) + [2.0, 0.0]])
+        test = UnlabeledDataset(test_x, np.repeat([1, 2], 100))
+        model = fit_bcops(LabeledDataset(x, labels, 2), test, SMALL_FOREST, 0.05, RngStream(0))
+        sets = predict_all(model)
+        for t in (1, 2):
+            rows = (test.ground_truth == 2) & (model.fold_assignment == t)
+            assert rows.any() and sets[rows, 1].all()
+        assert model.classifiers[(2, 1)] is None and model.classifiers[(2, 2)] is None
+
+    @pytest.mark.parametrize("m", [18, 19])
+    def test_calibration_too_small_to_drop_a_class_warns(self, monkeypatch, m):
+        # at alpha 0.05 the smallest p-value 1/(m+1) exceeds alpha for m = 18
+        # and equals it for m = 19 (1/20 == 0.05 in floating point)
+        g = np.random.default_rng(1)
+        x = np.vstack([g.normal(0, 1, (40, 2)), g.normal(6, 0.5, (2 * m, 2))])
+        labels = np.repeat([1, 2], [40, 2 * m])
+        # alternate folds: each class puts half its rows in each fold
+        split = conformal_mod.split_in_two
+        monkeypatch.setattr(conformal_mod, "split_in_two", lambda n, rng: (
+            (np.arange(n) % 2 + 1).astype(np.int8) if n == labels.size else split(n, rng)))
+        test = UnlabeledDataset(np.vstack([g.normal(0, 1, (40, 2)), g.normal(6, 0.5, (20, 2))]))
+        model = fit_bcops(LabeledDataset(x, labels, 2), test, SMALL_FOREST, 0.05, RngStream(1))
+        assert all(model.calibration_scores[(2, f)].size == m for f in (1, 2))
+        sets = predict_all(model)
+        if m == 18:
+            assert sorted(model.warnings) == [
+                f"class 2 has 18 calibration rows for test fold {t}: p-values there are at least "
+                "1/19 > alpha 0.05, so it is in every set"
+                for t in (1, 2)
+            ]
+            assert sets[:, 1].all()
+        else:
+            assert model.warnings == ()
+            assert not sets[:, 1].all()
 
     def test_singleton_class_fails_open_with_warning(self):
         g = np.random.default_rng(5)
