@@ -32,6 +32,7 @@ class BcopsModel:
     calibration_scores: dict  # (k, f) -> ascending np.ndarray
     fold_assignment: np.ndarray  # per test row, its test fold in {1, 2}
     test_features: np.ndarray
+    # (class k, test fold, m) for each pair whose m calibration rows keep k in every set
     warnings: tuple
 
 
@@ -44,6 +45,12 @@ def conformal_p_value(scores, calibration):
     """
     calibration = np.asarray(calibration, dtype=np.float64)
     return (1 + np.searchsorted(calibration, scores, side="right")) / (calibration.size + 1)
+
+
+def never_leaves_a_set(m: int, alpha: float) -> bool:
+    """True when m calibration rows keep a class in every set: no p-value is
+    below 1/(m+1), and a class stays iff its p-value exceeds alpha."""
+    return 1 / (m + 1) > alpha
 
 
 def fit_bcops(
@@ -77,7 +84,7 @@ def fit_bcops(
 
     classifiers: dict = {}
     calibration: dict = {}
-    warnings: list[str] = []
+    warnings: list[tuple] = []
 
     for k in range(1, k_count + 1):
         rows = np.nonzero(train.labels == k)[0]
@@ -87,10 +94,10 @@ def fit_bcops(
             model, cal = None, np.empty(0)
             if own.size and opp.size:
                 cell_rng = rng.derive(10 * k + f)
-                cap = max(1, int(imbalance_cap * own.size))
+                cap = max(1, imbalance_cap * own.size)  # a float: int() of a huge cap overflows
                 if tf.size > cap:
                     g = cell_rng.derive(1).generator()
-                    tf = np.sort(g.choice(tf, size=cap, replace=False))
+                    tf = np.sort(g.choice(tf, size=int(cap), replace=False))
                 binary = BinaryTrainingSet(
                     np.vstack([train.features[own], test.features[tf]]),
                     np.concatenate([np.ones(own.size, dtype=np.int8), np.zeros(tf.size, dtype=np.int8)]),
@@ -98,12 +105,8 @@ def fit_bcops(
                 model = train_forest(binary, replace(forest_config, seed_stream=cell_rng.derive(2)))
                 cal = np.sort(predict_probability_batch(model, train.features[opp]))
             classifiers[(k, f)], calibration[(k, f)] = model, cal
-            m = cal.size
-            # no p-value is below 1/(m+1), and predict_all keeps a class iff p > alpha
-            if 1 / (m + 1) > alpha:
-                warnings.append(f"class {k} has {m} calibration rows for test fold {3 - f}: "
-                                f"p-values there are at least 1/{m + 1} > alpha {alpha}, "
-                                f"so it is in every set")
+            if never_leaves_a_set(cal.size, alpha):
+                warnings.append((k, 3 - f, cal.size))
 
     return BcopsModel(
         alpha=alpha,

@@ -10,14 +10,13 @@ repetition, naming classes by their labels in sweep.csv.
 from __future__ import annotations
 
 import csv
-import re
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .conformal import fit_bcops, predict_all
+from .conformal import fit_bcops, never_leaves_a_set, predict_all
 from .data import OUTLIER, LabeledDataset, RngStream, UnlabeledDataset, check_count, stratified_subsample
 from .datagen import N_FEATURES, gen_example1_test, gen_example1_train, gen_example2
 from .forest import ForestConfig
@@ -77,11 +76,13 @@ class ExperimentConfig:
             raise ValueError("phi_grid needs at least one value")
         if any(not 0.0 <= p <= 1.0 for p in grid):
             raise ValueError("phi_grid values must lie in [0, 1]")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("phi_grid must be strictly ascending")
         for a, b in zip(grid, grid[1:]):
-            if f"{a:.4f}" == f"{b:.4f}":
-                raise ValueError(f"phi_grid values {a} and {b} both print as {a:.4f} in sweep.csv")
+            # the printed values as read_csv reads them back (-0.0000 is 0.0000 there);
+            # rounding keeps order, so this also asks a < b
+            if float(f"{b:.4f}") <= float(f"{a:.4f}"):
+                raise ValueError(f"phi_grid must be strictly ascending at the 4 decimals of "
+                                 f"sweep.csv: {a} (printed {a:.4f}) is followed by {b} "
+                                 f"(printed {b:.4f})")
         if self.repetitions is None:
             object.__setattr__(self, "repetitions", _DEFAULT_REPETITIONS[self.experiment])
         check_count("repetitions", self.repetitions)
@@ -93,16 +94,20 @@ class ExperimentConfig:
             raise ValueError("seed must be < 2**64")
         if not 0 < self.imbalance_cap < np.inf:
             raise ValueError("imbalance_cap must be > 0 and finite")
-        if self.experiment == "mnist":
-            if self.mnist_paths is None:
-                raise ValueError("mnist_paths is required when experiment=mnist")
-            missing = [k for k in _MNIST_PATH_KEYS if not isinstance(self.mnist_paths.get(k), str)]
-            if missing:
-                raise ValueError(f"mnist_paths missing or non-string field(s): {', '.join(missing)}")
-            if self.mnist_per_class is None:
-                object.__setattr__(self, "mnist_per_class", 500)
-        if self.mnist_per_class is not None:
-            check_count("mnist_per_class", self.mnist_per_class)
+        if self.experiment != "mnist":
+            for name in ("mnist_paths", "mnist_per_class"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} applies only to experiment mnist, "
+                                     f"not {self.experiment}")
+            return
+        if self.mnist_paths is None:
+            raise ValueError("mnist_paths is required when experiment=mnist")
+        missing = [k for k in _MNIST_PATH_KEYS if not isinstance(self.mnist_paths.get(k), str)]
+        if missing:
+            raise ValueError(f"mnist_paths missing or non-string field(s): {', '.join(missing)}")
+        if self.mnist_per_class is None:
+            object.__setattr__(self, "mnist_per_class", 500)
+        check_count("mnist_per_class", self.mnist_per_class)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -160,16 +165,12 @@ def prepare_mnist(paths: dict) -> tuple:
     """Load the IDX pairs as the raw pools (train pixels, train classes,
     test pixels, test truth), pixels uint8. Training keeps the rows of
     _MNIST_TRAIN_DIGITS as classes 1..6; a test row of any other label is an
-    outlier. A training file without rows of one of those digits fails."""
+    outlier."""
     digit_class = np.full(256, OUTLIER, dtype=np.int64)  # IDX labels are bytes
     digit_class[list(_MNIST_TRAIN_DIGITS)] = np.arange(1, len(_MNIST_TRAIN_DIGITS) + 1)
 
     pixels, digits = load_mnist(paths["train_images"], paths["train_labels"])
     labels = digit_class[digits]
-    counts = np.bincount(labels, minlength=len(_MNIST_TRAIN_DIGITS) + 1)
-    missing = [str(d) for k, d in enumerate(_MNIST_TRAIN_DIGITS, 1) if counts[k] == 0]
-    if missing:
-        raise ValueError(f"{paths['train_labels']}: no training rows of digit {', '.join(missing)}")
     keep = labels != OUTLIER
     train_pixels, train_labels = pixels[keep], labels[keep]
 
@@ -180,13 +181,15 @@ def prepare_mnist(paths: dict) -> tuple:
 def check_inputs(config: ExperimentConfig):
     """Check forest.mtry against the feature count and, for mnist, that every
     training digit has at least mnist_per_class rows and that the test file
-    has at least 2 rows, one per fold, from labels and shapes alone. Return
-    the mnist raw pools of ``prepare_mnist``, or None."""
+    has at least 2 rows, one per fold, from labels and shapes alone. Then warn
+    on stderr when a class with the expected calibration size, m rows per
+    test fold, would be in every set. Return the mnist raw pools of
+    ``prepare_mnist``, or None."""
     pools = prepare_mnist(config.mnist_paths) if config.experiment == "mnist" else None
     n_features = N_FEATURES
     if pools is not None:
         train_pixels, train_labels, test_pixels, _ = pools
-        counts = np.bincount(train_labels)[1:]  # prepare_mnist found every digit
+        counts = np.bincount(train_labels, minlength=len(_MNIST_TRAIN_DIGITS) + 1)[1:]
         k = int(np.argmin(counts))
         if config.mnist_per_class > counts[k]:
             raise ValueError(
@@ -204,6 +207,12 @@ def check_inputs(config: ExperimentConfig):
             f"forest.mtry={config.forest.mtry} exceeds the {n_features} features "
             f"of experiment {config.experiment}"
         )
+    # half of a class's training rows (500 in example1 and example2) calibrate each test fold
+    m = config.mnist_per_class // 2 if pools is not None else 250
+    if never_leaves_a_set(m, config.alpha):
+        print(f"warning: alpha {config.alpha} with an expected {m} calibration rows per class and "
+              f"test fold: p-values are at least 1/{m + 1} > alpha, so classes stay in every set",
+              file=sys.stderr)
     return pools
 
 
@@ -231,10 +240,10 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
     model = fit_bcops(
         train, test, config.forest, config.alpha, fit_rng, imbalance_cap=config.imbalance_cap
     )
-    for warning in model.warnings:
-        # name each class by its label in sweep.csv
-        warning = re.sub(r"\bclass (\d+)", lambda m: f"class {display.get(int(m[1]), m[1])}", warning)
-        print(f"warning: phi={phi}, repetition={rep}: {warning}", file=sys.stderr)
+    for k, fold, m in model.warnings:
+        print(f"warning: phi={phi}, repetition={rep}: class {display.get(k, k)} has {m} calibration "
+              f"rows for test fold {fold}: p-values there are at least 1/{m + 1} > alpha "
+              f"{config.alpha}, so it is in every set", file=sys.stderr)
     sets = predict_all(model)
     return [
         SweepRow(config.experiment, phi, rep, r.metric_name,

@@ -1,16 +1,22 @@
+import contextlib
 import gzip
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bcops
 import bcops.sweep
@@ -70,7 +76,7 @@ def _write_idx_pair(tmp_path, role, digits, rng=None):
 
 
 @pytest.mark.parametrize("train_digits,per_class,message", [
-    ([0, 1, 2, 4, 5] * 3, 1, "no training rows of digit 3"),
+    ([0, 1, 2, 4, 5] * 3, 1, "mnist_per_class=1 exceeds the 0 training rows of digit 3"),
     ([0, 1, 2, 3, 4, 5] * 3 + [0, 1, 2, 4, 5], 4, "exceeds the 3 training rows of digit 3"),
     ([0, 1, 2, 3, 4, 5], 0, "mnist_per_class must be >= 1"),
     ([0, 1, 2, 3, 4, 5], 2.5, "mnist_per_class must be an integer"),
@@ -243,6 +249,38 @@ def _one_row_per_class_config(tmp_path, **overrides):
         "forest": {"n_trees": 2, "min_node_size": 5, "max_depth": 4}, **overrides})
 
 
+def _load_warning(alpha, m):
+    return (f"warning: alpha {alpha} with an expected {m} calibration rows per class and test "
+            f"fold: p-values are at least 1/{m + 1} > alpha, so classes stay in every set")
+
+
+@pytest.mark.parametrize("per_class,warns", [(37, True), (38, False)])
+def test_validate_warns_when_expected_calibration_keeps_classes(tmp_path, capsys, per_class, warns):
+    # half of mnist_per_class calibrates each test fold, m = 18 or 19; at
+    # alpha 0.05 the smallest p-value 1/19 exceeds alpha and 1/20 does not
+    files = {**_write_idx_pair(tmp_path, "train", [0, 1, 2, 3, 4, 5] * 38),
+             **_write_idx_pair(tmp_path, "test", [0, 6])}
+    cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=per_class)
+    assert cli_main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == (_load_warning(0.05, 18) + "\n" if warns else "")
+
+
+@pytest.mark.parametrize("alpha,warns", [(0.003, True), (0.004, False)])
+def test_validate_warns_for_synthetic_calibration_of_250_rows(tmp_path, capsys, alpha, warns):
+    # 1/251 lies between 0.003 and 0.004
+    assert cli_main(["validate", "--config", str(_write_config(tmp_path, alpha=alpha))]) == 0
+    assert capsys.readouterr().err == (_load_warning(alpha, 250) + "\n" if warns else "")
+
+
+def test_mnist_fields_fail_at_load_on_a_synthetic_experiment(tmp_path, capsys):
+    cfg = _write_config(tmp_path, mnist_per_class=7, mnist_paths={"train_images": "nope"})
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: mnist_paths applies only to experiment mnist, not example1\n"
+    cfg = _write_config(tmp_path, mnist_per_class=7)
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: mnist_per_class applies only to experiment mnist, not example1\n"
+
+
 # At phi 0.1 the noise relabels every training row of one class in the
 # cell (phi=0.1, repetition=0).
 EMPTIED_CLASS = {"phi_grid": [0.0, 0.1], "repetitions": 3, "seed": 3}
@@ -254,10 +292,12 @@ def test_run_prints_fit_warnings(tmp_path, capsys):
     cfg = _one_row_per_class_config(tmp_path)
     assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 12
+    assert len(lines) == 13
+    # mnist_per_class 1 expects 0 calibration rows, and the load-time check says so first
+    assert lines[0] == _load_warning(0.05, 0)
     pattern = (r"warning: phi=0\.0, repetition=0: class (\d) has 0 calibration rows for test fold "
                r"([12]): p-values there are at least 1/1 > alpha 0\.05, so it is in every set")
-    pairs = {re.fullmatch(pattern, line).groups() for line in lines}
+    pairs = {re.fullmatch(pattern, line).groups() for line in lines[1:]}
     # classes are named by their sweep.csv labels, the digits 0-5
     assert pairs == {(str(c), t) for c in range(6) for t in "12"}
 
@@ -412,7 +452,65 @@ def test_validate_rejects_bad_forest_sizes(tmp_path, capsys, field, value):
 def test_validate_rejects_phi_grid_that_prints_twice(tmp_path, capsys):
     cfg = _write_config(tmp_path, phi_grid=[0.10001, 0.10002])
     assert cli_main(["validate", "--config", str(cfg)]) == 1
-    assert "both print as 0.1000" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: phi_grid must be strictly ascending at the 4 decimals of sweep.csv: "
+        "0.10001 (printed 0.1000) is followed by 0.10002 (printed 0.1000)\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def tiny_idx_pair(tmp_path_factory):
+    g = np.random.default_rng(0)
+    directory = tmp_path_factory.mktemp("idx")
+    return {**_write_idx_pair(directory, "train", [0, 1, 2, 3, 4, 5] * 4, g),
+            **_write_idx_pair(directory, "test", list(range(10)) * 2, g)}
+
+
+def _cli(argv):
+    """cli_main's exit code and stderr, and how many sweep cells it started."""
+    err = io.StringIO()
+    with mock.patch.object(bcops.sweep, "_run_cell", wraps=bcops.sweep._run_cell) as cell:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli_main(argv)
+    return rc, err.getvalue(), cell.call_count
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    experiment=st.sampled_from(["example1", "mnist"]),
+    mnist_per_class=st.none() | st.integers(1, 5),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    imbalance_cap=st.floats(0.0, 1e308, exclude_min=True),
+    phi_grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2, unique=True),
+    forest=st.fixed_dictionaries({
+        "n_trees": st.integers(1, 2),
+        "max_depth": st.none() | st.integers(1, 6),
+        "min_node_size": st.integers(1, 200),
+        "mtry": st.none() | st.integers(1, 12) | st.sampled_from([784, 785]),
+    }),
+)
+@example(experiment="example1", mnist_per_class=None, alpha=0.05, imbalance_cap=1e308,
+         phi_grid=[0.0], forest={"n_trees": 1, "max_depth": 3, "min_node_size": 25, "mtry": None})
+def test_validate_accepts_only_configs_that_run_completes(tiny_idx_pair, experiment, mnist_per_class,
+                                                         alpha, imbalance_cap, phi_grid, forest):
+    raw = {"experiment": experiment, "alpha": alpha, "imbalance_cap": imbalance_cap,
+           "phi_grid": phi_grid, "repetitions": 1, "forest": forest, "seed": 1,
+           "mnist_per_class": mnist_per_class}
+    if experiment == "mnist":
+        raw["mnist_paths"] = tiny_idx_pair
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(raw))
+        rc, err, cells = _cli(["validate", "--config", str(cfg)])
+        run_rc, run_err, run_cells = _cli(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    if rc == 1:
+        # the same error, before any cell starts
+        assert (run_rc, run_err, run_cells) == (1, err, 0)
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert rc == 0 and cells == 0
+        assert run_rc == 0, run_err
+        assert run_cells == len(phi_grid)
 
 
 def test_validate_rejects_mtry_above_feature_count(tmp_path, capsys):

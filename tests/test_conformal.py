@@ -97,11 +97,8 @@ class TestFitBcops:
                           _matching_test(), SMALL_FOREST, 0.05, RngStream(3))
         assert model.classifiers[(3, 1)] is None and model.classifiers[(3, 2)] is None
         assert (conformal_p_values(model)[:, 2] == 1.0).all()
-        assert sorted(model.warnings) == [
-            f"class 3 has 0 calibration rows for test fold {t}: p-values there are at least "
-            "1/1 > alpha 0.05, so it is in every set"
-            for t in (1, 2)
-        ]
+        # one (class, test fold, calibration rows) record per test fold
+        assert sorted(model.warnings) == [(3, 1, 0), (3, 2, 0)]
 
     def test_class_in_one_training_fold_is_in_every_set(self, monkeypatch):
         # Every class-2 training row lies in fold 1. Calibrating the fold-1
@@ -139,11 +136,7 @@ class TestFitBcops:
         assert all(model.calibration_scores[(2, f)].size == m for f in (1, 2))
         sets = predict_all(model)
         if m == 18:
-            assert sorted(model.warnings) == [
-                f"class 2 has 18 calibration rows for test fold {t}: p-values there are at least "
-                "1/19 > alpha 0.05, so it is in every set"
-                for t in (1, 2)
-            ]
+            assert sorted(model.warnings) == [(2, 1, 18), (2, 2, 18)]
             assert sets[:, 1].all()
         else:
             assert model.warnings == ()
@@ -215,6 +208,13 @@ class TestFitBcops:
                   imbalance_cap=1e-6)
         assert len(sizes) == 4
         assert all(n_class > 1 and n_test == 1 for n_class, n_test in sizes)
+
+    def test_huge_imbalance_cap_never_subsamples(self):
+        # 1e308 * class rows is inf, which int() cannot convert
+        args = (_two_blob_data(), _matching_test(), SMALL_FOREST, 0.05, RngStream(0))
+        huge = fit_bcops(*args, imbalance_cap=1e308)
+        assert np.array_equal(conformal_p_values(huge),
+                              conformal_p_values(fit_bcops(*args, imbalance_cap=1e6)))
 
 
 @pytest.fixture(scope="module")

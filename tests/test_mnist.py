@@ -184,13 +184,16 @@ def test_prepare_mnist_fixed_digit_classes(tmp_path):
     assert test_pixels.shape == (len(test_digits), 784)
 
 
-def test_prepare_mnist_rejects_missing_training_digit(tmp_path):
+def test_check_inputs_rejects_missing_training_digit(tmp_path):
     paths = {
         **_write_pair(tmp_path, "train", [0, 1, 2, 4, 5, 6, 7]),
         **_write_pair(tmp_path, "test", [0, 3]),
     }
-    with pytest.raises(ValueError, match="no training rows of digit 3"):
-        prepare_mnist(paths)
+    # the per-digit count check of check_inputs is the only one
+    assert prepare_mnist(paths)[1].tolist() == [1, 2, 3, 5, 6]
+    config = ExperimentConfig(experiment="mnist", mnist_paths=paths, mnist_per_class=1)
+    with pytest.raises(ValueError, match="mnist_per_class=1 exceeds the 0 training rows of digit 3"):
+        check_inputs(config)
 
 
 def test_check_inputs_peak_stays_near_the_uint8_payload(tmp_path):

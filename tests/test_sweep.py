@@ -62,9 +62,13 @@ class TestConfig:
 
     def test_phi_grid_must_print_distinctly(self):
         # sweep.csv prints phi at 4 decimals, so these two would share keys
-        with pytest.raises(ValueError, match=r"values 0.10001 and 0.10002 both print as 0.1000"):
+        with pytest.raises(ValueError, match=r"0\.10001 \(printed 0\.1000\) is followed by "
+                                             r"0\.10002 \(printed 0\.1000\)"):
             _tiny_config(phi_grid=[0.0, 0.10001, 0.10002])
         assert _tiny_config(phi_grid=[0.1, 0.1001]).phi_grid == (0.1, 0.1001)
+        # -0.0000 and 0.0000 print apart but read back as one phi
+        with pytest.raises(ValueError, match=r"-0\.0 \(printed -0\.0000\) is followed by 1e-05"):
+            _tiny_config(phi_grid=[-0.0, 0.00001])
 
     def test_phi_grid_range(self):
         with pytest.raises(ValueError):
@@ -143,6 +147,13 @@ class TestConfig:
         })
         assert cfg.mnist_per_class == 500
         assert cfg.repetitions == 5
+
+    @pytest.mark.parametrize("field,value", [
+        ("mnist_paths", {"train_images": "nope"}), ("mnist_per_class", 7),
+    ])
+    def test_mnist_fields_need_experiment_mnist(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} applies only to experiment mnist"):
+            _tiny_config(**{field: value})
 
     def test_mnist_per_class_validated_at_load(self):
         paths = {k: "x" for k in ("train_images", "train_labels", "test_images", "test_labels")}
