@@ -18,7 +18,7 @@ import numpy as np
 
 from .conformal import fit_bcops, never_leaves_a_set, predict_all
 from .data import OUTLIER, LabeledDataset, RngStream, UnlabeledDataset, check_count, stratified_subsample
-from .datagen import N_FEATURES, gen_example1_test, gen_example1_train, gen_example2
+from .datagen import N_FEATURES, ROWS_PER_CLASS, gen_example1_test, gen_example1_train, gen_example2
 from .forest import ForestConfig
 from .metrics import CLASS_COVERAGE, METRIC_NAMES, SummaryRow, class_order, evaluate
 from .mnist import load_mnist, scale_pixels
@@ -70,16 +70,17 @@ class ExperimentConfig:
             raise ValueError(f"phi_grid must hold numbers only, got {list(self.phi_grid)!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        grid = tuple(float(p) for p in self.phi_grid)
+        # adding 0.0 turns -0.0 into 0.0, which sweep.csv prints as 0.0000
+        grid = tuple(float(p) + 0.0 for p in self.phi_grid)
         object.__setattr__(self, "phi_grid", grid)
         if not grid:
             raise ValueError("phi_grid needs at least one value")
         if any(not 0.0 <= p <= 1.0 for p in grid):
             raise ValueError("phi_grid values must lie in [0, 1]")
         for a, b in zip(grid, grid[1:]):
-            # the printed values as read_csv reads them back (-0.0000 is 0.0000 there);
-            # rounding keeps order, so this also asks a < b
-            if float(f"{b:.4f}") <= float(f"{a:.4f}"):
+            # values in [0, 1] print at one width, so their strings compare as
+            # the printed numbers; rounding keeps order, so this also asks a < b
+            if f"{b:.4f}" <= f"{a:.4f}":
                 raise ValueError(f"phi_grid must be strictly ascending at the 4 decimals of "
                                  f"sweep.csv: {a} (printed {a:.4f}) is followed by {b} "
                                  f"(printed {b:.4f})")
@@ -207,8 +208,8 @@ def check_inputs(config: ExperimentConfig):
             f"forest.mtry={config.forest.mtry} exceeds the {n_features} features "
             f"of experiment {config.experiment}"
         )
-    # half of a class's training rows (500 in example1 and example2) calibrate each test fold
-    m = config.mnist_per_class // 2 if pools is not None else 250
+    # half of a class's training rows calibrate each test fold
+    m = (config.mnist_per_class if pools is not None else ROWS_PER_CLASS) // 2
     if never_leaves_a_set(m, config.alpha):
         print(f"warning: alpha {config.alpha} with an expected {m} calibration rows per class and "
               f"test fold: p-values are at least 1/{m + 1} > alpha, so classes stay in every set",

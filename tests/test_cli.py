@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -315,6 +316,18 @@ def test_run_survives_a_class_emptied_by_noise(tmp_path, capsys, monkeypatch):
     assert "warning: phi=0.1, repetition=0: class " in capsys.readouterr().err
 
 
+def _damage_gzip(path, damage):
+    """Rewrite the file at ``path`` gzipped, then cut in half ("truncated") or
+    with its middle byte flipped ("corrupted")."""
+    # level 0 stores the bytes as they are, so a flipped byte breaks only the CRC
+    packed = bytearray(gzip.compress(path.read_bytes(), compresslevel=0))
+    if damage == "truncated":
+        del packed[len(packed) // 2:]
+    else:
+        packed[len(packed) // 2] ^= 0xFF
+    path.write_bytes(packed)
+
+
 @pytest.mark.parametrize("damage,reason", [
     ("truncated", "Compressed file ended before the end-of-stream marker was reached"),
     ("corrupted", "CRC check failed"),
@@ -323,13 +336,7 @@ def test_validate_names_damaged_gzip_file(tmp_path, capsys, damage, reason):
     files = {**_write_idx_pair(tmp_path, "train", [0, 1, 2, 3, 4, 5]),
              **_write_idx_pair(tmp_path, "test", [0, 6])}
     path = Path(files["train_images"])
-    # level 0 stores the pixels as they are, so a flipped byte breaks only the CRC
-    packed = bytearray(gzip.compress(path.read_bytes(), compresslevel=0))
-    if damage == "truncated":
-        del packed[len(packed) // 2:]
-    else:
-        packed[len(packed) // 2] ^= 0xFF
-    path.write_bytes(packed)
+    _damage_gzip(path, damage)
     cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=1)
     assert cli_main(["validate", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
@@ -344,7 +351,7 @@ def test_validate_names_truncated_idx_file(tmp_path, capsys):
     cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=1)
     assert cli_main(["validate", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: truncated file: pixel data ends at byte offset ")
+    assert err.startswith(f"error: {path}: truncated file: data ends at byte offset ")
 
 
 @pytest.mark.parametrize("metric,value,message", [
@@ -458,12 +465,50 @@ def test_validate_rejects_phi_grid_that_prints_twice(tmp_path, capsys):
     )
 
 
-@pytest.fixture(scope="module")
-def tiny_idx_pair(tmp_path_factory):
+def test_negative_zero_phi_prints_as_zero(tmp_path):
+    cfg = _write_config(tmp_path, phi_grid=[-0.0, 0.5], forest={"n_trees": 2, "min_node_size": 120})
+    assert "-0.0" in cfg.read_text()
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    for name, column in (("sweep.csv", 1), ("summary.csv", 0)):
+        lines = (out / name).read_text().splitlines()[1:]
+        assert {line.split(",")[column] for line in lines} == {"0.0000", "0.5000"}, name
+    assert "-0.0" not in (out / "run_metadata.json").read_text()
+    assert json.loads((out / "run_metadata.json").read_text())["config"]["phi_grid"] == [0.0, 0.5]
+
+
+IDX_DAMAGES = ("truncated payload", "wrong magic", "14x14 images", "count mismatch",
+               "truncated gzip", "corrupted gzip", "1-row test", "short digit")
+IDX_FILES = ("train_images", "train_labels", "test_images", "test_labels")
+
+
+def _tiny_idx_pairs(directory, damage, target, mnist_per_class):
+    """Train and test IDX pairs of a few rows, with at most one damage: to the
+    file ``target`` names or to its pair."""
+    digits = {"train": [0, 1, 2, 3, 4, 5] * 5, "test": list(range(10)) * 2}
+    if damage == "1-row test":
+        digits["test"] = [0]
+    if damage == "short digit":
+        digits["train"] = [0, 1, 2, 4, 5] * 5 + [3] * ((mnist_per_class or 1) - 1)
     g = np.random.default_rng(0)
-    directory = tmp_path_factory.mktemp("idx")
-    return {**_write_idx_pair(directory, "train", [0, 1, 2, 3, 4, 5] * 4, g),
-            **_write_idx_pair(directory, "test", list(range(10)) * 2, g)}
+    files = {**_write_idx_pair(directory, "train", digits["train"], g),
+             **_write_idx_pair(directory, "test", digits["test"], g)}
+    role = target.split("_")[0]
+    path, images, labels = (Path(files[key]) for key in (target, f"{role}_images", f"{role}_labels"))
+    n = len(digits[role])
+    if damage == "truncated payload":
+        path.write_bytes(path.read_bytes()[:-1])
+    elif damage == "wrong magic":
+        # the magic of the other kind of file: 0x803 for labels, 0x801 for images
+        raw = path.read_bytes()
+        path.write_bytes(raw[:3] + bytes([raw[3] ^ 0x02]) + raw[4:])
+    elif damage == "14x14 images":
+        images.write_bytes(struct.pack(">IIII", 0x803, n, 14, 14) + bytes(n * 14 * 14))
+    elif damage == "count mismatch":
+        labels.write_bytes(serialize_idx_labels(np.asarray(digits[role][:-1], dtype=np.uint8)))
+    elif damage in ("truncated gzip", "corrupted gzip"):
+        _damage_gzip(path, damage.split()[0])
+    return files
 
 
 def _cli(argv):
@@ -475,9 +520,33 @@ def _cli(argv):
     return rc, err.getvalue(), cell.call_count
 
 
-@settings(max_examples=100, deadline=None)
+def _loads(cfg):
+    """Whether the config file passes the field checks made at load time."""
+    try:
+        bcops.sweep.ExperimentConfig.from_dict(json.loads(cfg.read_text()))
+    except ValueError:
+        return False
+    return True
+
+
+def _with_pinned_examples(test):
+    """Pin each damage and the seeds just out of range, one at a time, to an
+    mnist config that is valid without it: random draws seldom leave all
+    the other fields valid."""
+    valid = dict(experiment="mnist", mnist_per_class=3, alpha=0.2, imbalance_cap=5.0,
+                 phi_grid=[0.0], forest={"n_trees": 1, "max_depth": 3, "min_node_size": 5, "mtry": None},
+                 seed=2**64 - 1, inclusive_resampling=True, out_under_a_file=False, damage=None,
+                 damaged_file="train_images")
+    cases = [{}, {"seed": -1}, {"seed": 2**64}]
+    cases += [{"damage": damage, "damaged_file": IDX_FILES[i % 4]} for i, damage in enumerate(IDX_DAMAGES)]
+    for case in cases:
+        test = example(**{**valid, **case})(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    experiment=st.sampled_from(["example1", "mnist"]),
+    experiment=st.sampled_from(["example1", "example2", "mnist"]),
     mnist_per_class=st.none() | st.integers(1, 5),
     alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     imbalance_cap=st.floats(0.0, 1e308, exclude_min=True),
@@ -488,22 +557,47 @@ def _cli(argv):
         "min_node_size": st.integers(1, 200),
         "mtry": st.none() | st.integers(1, 12) | st.sampled_from([784, 785]),
     }),
+    seed=st.integers(-1, 2**64),
+    inclusive_resampling=st.booleans(),
+    out_under_a_file=st.booleans(),
+    damage=st.none() | st.sampled_from(IDX_DAMAGES),
+    damaged_file=st.sampled_from(IDX_FILES),
 )
 @example(experiment="example1", mnist_per_class=None, alpha=0.05, imbalance_cap=1e308,
-         phi_grid=[0.0], forest={"n_trees": 1, "max_depth": 3, "min_node_size": 25, "mtry": None})
-def test_validate_accepts_only_configs_that_run_completes(tiny_idx_pair, experiment, mnist_per_class,
-                                                         alpha, imbalance_cap, phi_grid, forest):
+         phi_grid=[0.0], forest={"n_trees": 1, "max_depth": 3, "min_node_size": 25, "mtry": None},
+         seed=1, inclusive_resampling=False, out_under_a_file=False, damage=None,
+         damaged_file="train_images")
+@_with_pinned_examples
+def test_validate_accepts_only_configs_that_run_completes(
+        experiment, mnist_per_class, alpha, imbalance_cap, phi_grid, forest, seed,
+        inclusive_resampling, out_under_a_file, damage, damaged_file):
+    if experiment == "example2":
+        # a cell grows 20 forests on 5,000 training rows: keep each to one shallow tree
+        forest = {**forest, "n_trees": 1, "max_depth": 2}
     raw = {"experiment": experiment, "alpha": alpha, "imbalance_cap": imbalance_cap,
-           "phi_grid": phi_grid, "repetitions": 1, "forest": forest, "seed": 1,
-           "mnist_per_class": mnist_per_class}
-    if experiment == "mnist":
-        raw["mnist_paths"] = tiny_idx_pair
+           "phi_grid": phi_grid, "repetitions": 1, "forest": forest, "seed": seed,
+           "inclusive_resampling": inclusive_resampling, "mnist_per_class": mnist_per_class}
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "config.json"
+        tmp = Path(tmp)
+        (tmp / "file").write_text("a file, not a directory\n")
+        out = tmp / ("file" if out_under_a_file else "dir") / "out"
+        raw["output_dir"] = str(out)
+        if experiment == "mnist":
+            raw["mnist_paths"] = _tiny_idx_pairs(tmp, damage, damaged_file, mnist_per_class)
+        cfg = tmp / "config.json"
         cfg.write_text(json.dumps(raw))
         rc, err, cells = _cli(["validate", "--config", str(cfg)])
-        run_rc, run_err, run_cells = _cli(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
-    if rc == 1:
+        run_rc, run_err, run_cells = _cli(["run", "--config", str(cfg)])
+        loads = _loads(cfg)
+    if experiment == "mnist" and damage is not None:
+        assert rc == 1, f"validate passed IDX files with damage {damage!r}"
+    if out_under_a_file and loads:
+        # validate leaves output_dir to run, which checks it after loading the
+        # config and before its other checks
+        assert run_rc == 1 and run_cells == 0
+        assert run_err.startswith(f"error: cannot write to output directory {out}: ")
+        assert run_err.count("\n") == 1
+    elif rc == 1:
         # the same error, before any cell starts
         assert (run_rc, run_err, run_cells) == (1, err, 0)
         assert err.startswith("error: ") and err.count("\n") == 1

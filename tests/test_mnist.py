@@ -1,4 +1,5 @@
 import gzip
+import struct
 import tracemalloc
 
 import numpy as np
@@ -9,15 +10,17 @@ from hypothesis.extra import numpy as hnp
 
 from bcops.data import OUTLIER
 from bcops.mnist import (
+    IMAGES_MAGIC,
+    LABELS_MAGIC,
     IdxFormatError,
     load_mnist,
-    parse_idx_images,
-    parse_idx_labels,
+    parse_idx,
     scale_pixels,
     serialize_idx_images,
     serialize_idx_labels,
 )
-from bcops.sweep import ExperimentConfig, check_inputs, prepare_mnist
+from bcops.forest import ForestConfig
+from bcops.sweep import ExperimentConfig, check_inputs, prepare_mnist, run_sweep
 
 
 @pytest.fixture
@@ -40,6 +43,18 @@ def test_round_trip(sample_pair):
     assert features.shape == (30, 784)
     assert np.array_equal(loaded, digits)
     assert np.allclose(features * 255.0, images)
+
+
+def test_load_mnist_returns_read_only_uint8_views(sample_pair):
+    # neither array is copied out of the bytes read from its file
+    _, _, img_path, lab_path = sample_pair
+    for array in load_mnist(img_path, lab_path):
+        assert array.dtype == np.uint8
+        assert not array.flags.writeable
+        base = array
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, bytes)
 
 
 def test_pixels_scaled_to_unit_interval(sample_pair):
@@ -101,51 +116,51 @@ def test_truncated_raw_file_names_the_file(sample_pair, tmp_path):
     with pytest.raises(IdxFormatError) as err:
         load_mnist(short, lab_path)
     assert str(err.value) == (
-        f"{short}: truncated file: pixel data ends at byte offset {size}, need {size + 100}"
+        f"{short}: truncated file: data ends at byte offset {size}, need {size + 100}"
     )
 
 
 def test_header_round_trip(sample_pair):
     # re-serializing parsed content reproduces the original bytes, header included
     images, digits, img_path, lab_path = sample_pair
-    assert serialize_idx_images(parse_idx_images(img_path.read_bytes())) == img_path.read_bytes()
-    assert serialize_idx_labels(parse_idx_labels(lab_path.read_bytes())) == lab_path.read_bytes()
+    assert serialize_idx_images(parse_idx(img_path.read_bytes(), IMAGES_MAGIC)) == img_path.read_bytes()
+    assert serialize_idx_labels(parse_idx(lab_path.read_bytes(), LABELS_MAGIC)) == lab_path.read_bytes()
 
 
 def test_bad_image_magic():
     with pytest.raises(IdxFormatError, match="magic.*offset 0"):
-        parse_idx_images(b"\x00\x00\x08\x01" + b"\x00" * 100)
+        parse_idx(b"\x00\x00\x08\x01" + b"\x00" * 100, IMAGES_MAGIC)
 
 
 def test_bad_label_magic():
     with pytest.raises(IdxFormatError, match="magic.*offset 0"):
-        parse_idx_labels(b"\x00\x00\x08\x03" + b"\x00" * 100)
+        parse_idx(b"\x00\x00\x08\x03" + b"\x00" * 100, LABELS_MAGIC)
 
 
 def test_truncated_header():
     with pytest.raises(IdxFormatError, match="offset"):
-        parse_idx_images(b"\x00\x00\x08\x03\x00")
+        parse_idx(b"\x00\x00\x08\x03\x00", IMAGES_MAGIC)
 
 
 def test_truncated_pixels(sample_pair):
     _, _, img_path, _ = sample_pair
     buf = img_path.read_bytes()[:-10]
     with pytest.raises(IdxFormatError, match="truncated"):
-        parse_idx_images(buf)
+        parse_idx(buf, IMAGES_MAGIC)
 
 
 def test_truncated_labels():
     buf = serialize_idx_labels(np.arange(10, dtype=np.uint8))[:-3]
-    with pytest.raises(IdxFormatError, match="label data ends at byte offset 15, need 18"):
-        parse_idx_labels(buf)
+    with pytest.raises(IdxFormatError, match="data ends at byte offset 15, need 18"):
+        parse_idx(buf, LABELS_MAGIC)
 
 
-def test_wrong_geometry():
-    import struct
-
-    buf = struct.pack(">IIII", 0x00000803, 1, 14, 14) + b"\x00" * (14 * 14)
-    with pytest.raises(IdxFormatError, match="28x28"):
-        parse_idx_images(buf)
+def test_wrong_geometry(sample_pair, tmp_path):
+    small = tmp_path / "small-images"
+    small.write_bytes(struct.pack(">IIII", 0x00000803, 1, 14, 14) + b"\x00" * (14 * 14))
+    with pytest.raises(IdxFormatError) as err:
+        load_mnist(small, sample_pair[3])
+    assert str(err.value) == f"{small}: expected 28x28 images, got 14x14 at byte offset 8"
 
 
 def test_count_mismatch(sample_pair, tmp_path):
@@ -210,3 +225,37 @@ def test_check_inputs_peak_stays_near_the_uint8_payload(tmp_path):
         tracemalloc.stop()
     assert pools[2].shape == (len(test_digits), 784)
     assert peak <= 3 * payload, f"check_inputs peaked at {peak} B for {payload} B of pixels"
+
+
+def test_desk_scale_cell_peak_stays_near_the_test_matrix(tmp_path):
+    # MNIST's sizes, 60,000 training and 10,000 test rows: each digit has a
+    # random 28x28 prototype, and a row is its prototype plus Gaussian pixel
+    # noise of sd 60, clipped to 0..255, as the benchmark's IDX inputs are
+    # drawn. The images are written in chunks, so no float copy of a whole
+    # file is ever held.
+    g = np.random.default_rng(2024)
+    prototypes = g.integers(0, 256, size=(10, 784)).astype(np.float64)
+    paths = {}
+    for role, n in (("train", 60_000), ("test", 10_000)):
+        digits = g.permutation(np.repeat(np.arange(10, dtype=np.uint8), n // 10))
+        paths[f"{role}_images"] = str(tmp_path / f"{role}-images")
+        paths[f"{role}_labels"] = str(tmp_path / f"{role}-labels")
+        with open(paths[f"{role}_images"], "wb") as fh:
+            fh.write(struct.pack(">IIII", IMAGES_MAGIC, n, 28, 28))
+            for d in np.array_split(digits, 12):
+                pixels = prototypes[d] + g.normal(0.0, 60.0, size=(d.size, 784))
+                fh.write(np.clip(np.rint(pixels), 0, 255).astype(np.uint8).tobytes())
+        (tmp_path / f"{role}-labels").write_bytes(serialize_idx_labels(digits))
+    config = ExperimentConfig(
+        experiment="mnist", mnist_paths=paths, mnist_per_class=500,
+        phi_grid=(0.0,), repetitions=1, forest=ForestConfig(n_trees=2, min_node_size=25, max_depth=12),
+    )
+    test_matrix = 10_000 * 784 * 8  # the scaled test set every cell scores
+    tracemalloc.start()
+    try:
+        rows = run_sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {r.phi for r in rows} == {0.0}
+    assert peak <= 2.6 * test_matrix, f"one cell peaked at {peak / test_matrix:.2f} x the test matrix"

@@ -66,8 +66,9 @@ class TestConfig:
                                              r"0\.10002 \(printed 0\.1000\)"):
             _tiny_config(phi_grid=[0.0, 0.10001, 0.10002])
         assert _tiny_config(phi_grid=[0.1, 0.1001]).phi_grid == (0.1, 0.1001)
-        # -0.0000 and 0.0000 print apart but read back as one phi
-        with pytest.raises(ValueError, match=r"-0\.0 \(printed -0\.0000\) is followed by 1e-05"):
+        # -0.0 is 0.0, so it prints as 0.0000 like 0.00001 does
+        with pytest.raises(ValueError, match=r" 0\.0 \(printed 0\.0000\) is followed by 1e-05 "
+                                             r"\(printed 0\.0000\)"):
             _tiny_config(phi_grid=[-0.0, 0.00001])
 
     def test_phi_grid_range(self):
