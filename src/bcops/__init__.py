@@ -1,13 +1,6 @@
 """Conformal prediction sets with abstention (BCOPS) under label noise."""
 
-from .data import (
-    OUTLIER,
-    LabeledDataset,
-    RngStream,
-    UnlabeledDataset,
-    split_in_two,
-    stratified_subsample,
-)
+from .data import OUTLIER, RngStream, split_in_two, stratified_subsample
 from .forest import (
     BinaryTrainingSet,
     ForestConfig,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import LabeledDataset, RngStream, UnlabeledDataset, split_in_two
+from .data import RngStream, _check_features, check_count, check_labels, split_in_two
 from .forest import BinaryTrainingSet, ForestConfig, predict_probability_batch, train_forest
 
 
@@ -54,40 +54,48 @@ def never_leaves_a_set(m: int, alpha: float) -> bool:
 
 
 def fit_bcops(
-    train: LabeledDataset,
-    test: UnlabeledDataset,
+    features,
+    labels,
+    class_count: int,
+    test_features,
     forest_config: ForestConfig,
     alpha: float,
     rng: RngStream,
     imbalance_cap: float = 5.0,
 ) -> BcopsModel:
-    """Fit the transductive BCOPS model on a train/test pair.
+    """Fit the transductive BCOPS model on labelled training rows and the
+    unlabelled test rows it will score.
 
-    imbalance_cap bounds |test fold| / |class-k fold rows| in each binary
-    training set; larger test folds are subsampled without replacement,
-    keeping at least one row.
+    ``features`` is an n x p matrix whose rows have the ``labels`` 1..class_count;
+    ``test_features`` has p columns and at least 2 rows, one per fold. Every
+    input is checked here, once, before any forest grows. imbalance_cap
+    bounds |test fold| / |class-k fold rows| in each binary training set;
+    larger test folds are subsampled without replacement, keeping at least
+    one row.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if not 0 < imbalance_cap < np.inf:
         raise ValueError("imbalance_cap must be > 0 and finite")
-    if test.n_rows < 2:
-        raise ValueError(f"test set needs at least 2 rows, one per fold, got {test.n_rows}")
-    if test.features.shape[1] != train.n_features:
-        raise ValueError(
-            f"test set has {test.features.shape[1]} features, training set has {train.n_features}"
-        )
-    k_count = train.class_count
-    train_fold = split_in_two(train.n_rows, rng.derive(1))
-    fold_assignment = split_in_two(test.n_rows, rng.derive(2))
+    features = _check_features(features)
+    test_features = _check_features(test_features, "test_features")
+    check_count("class_count", class_count)
+    labels = check_labels("labels", labels, 1, class_count, rows=features.shape[0])
+    n_test, p = test_features.shape
+    if n_test < 2:
+        raise ValueError(f"test set needs at least 2 rows, one per fold, got {n_test}")
+    if p != features.shape[1]:
+        raise ValueError(f"test set has {p} features, training set has {features.shape[1]}")
+    train_fold = split_in_two(labels.size, rng.derive(1))
+    fold_assignment = split_in_two(n_test, rng.derive(2))
     test_folds = {f: np.nonzero(fold_assignment == f)[0] for f in (1, 2)}
 
     classifiers: dict = {}
     calibration: dict = {}
     warnings: list[tuple] = []
 
-    for k in range(1, k_count + 1):
-        rows = np.nonzero(train.labels == k)[0]
+    for k in range(1, class_count + 1):
+        rows = np.nonzero(labels == k)[0]
         folds = {f: rows[train_fold[rows] == f] for f in (1, 2)}
         for f in (1, 2):
             own, opp, tf = folds[f], folds[3 - f], test_folds[f]
@@ -99,22 +107,22 @@ def fit_bcops(
                     g = cell_rng.derive(1).generator()
                     tf = np.sort(g.choice(tf, size=int(cap), replace=False))
                 binary = BinaryTrainingSet(
-                    np.vstack([train.features[own], test.features[tf]]),
+                    np.vstack([features[own], test_features[tf]]),
                     np.concatenate([np.ones(own.size, dtype=np.int8), np.zeros(tf.size, dtype=np.int8)]),
                 )
                 model = train_forest(binary, replace(forest_config, seed_stream=cell_rng.derive(2)))
-                cal = np.sort(predict_probability_batch(model, train.features[opp]))
+                cal = np.sort(predict_probability_batch(model, features[opp]))
             classifiers[(k, f)], calibration[(k, f)] = model, cal
             if never_leaves_a_set(cal.size, alpha):
                 warnings.append((k, 3 - f, cal.size))
 
     return BcopsModel(
         alpha=alpha,
-        class_count=k_count,
+        class_count=class_count,
         classifiers=classifiers,
         calibration_scores=calibration,
         fold_assignment=fold_assignment,
-        test_features=test.features,
+        test_features=test_features,
         warnings=tuple(warnings),
     )
 

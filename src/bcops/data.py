@@ -1,9 +1,11 @@
-"""Core data containers, deterministic RNG streams, and row-splitting helpers.
+"""Deterministic RNG streams, the checks of each input where it enters the
+library, and row-splitting helpers.
 
-Class labels are canonical integers 1..K everywhere inside the library.
-MNIST digits are mapped to classes on ingestion by the fixed table of
-``sweep.prepare_mnist``. Ground-truth outliers are marked with
-``OUTLIER`` (0), which is never a valid class label.
+Inputs are plain arrays: a feature matrix, and labels as integers 1..K
+everywhere inside the library. MNIST digits are mapped to classes on
+ingestion by the fixed table of ``sweep.prepare_mnist``. Ground-truth
+outliers are marked with ``OUTLIER`` (0), which is never a valid class
+label.
 """
 
 from __future__ import annotations
@@ -64,10 +66,10 @@ def check_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be >= {minimum}")
 
 
-def check_labels(name: str, labels, low: int, high: int | None, rows=None) -> np.ndarray:
+def check_labels(name: str, labels, low: int, high: int, rows=None) -> np.ndarray:
     """``labels`` as a 1-D int64 array. Fail, naming ``name``, unless every
-    entry is a whole number in low..high (no upper bound when high is None)
-    and, when ``rows`` is given, there are that many entries."""
+    entry is a whole number in low..high and, when ``rows`` is given, there
+    are that many entries."""
     raw = np.asarray(labels)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage and fail below
         out = raw.astype(np.int64, copy=False) if raw.dtype.kind in "biuf" else None
@@ -76,63 +78,20 @@ def check_labels(name: str, labels, low: int, high: int | None, rows=None) -> np
     if out.ndim != 1 or rows not in (None, out.size):
         size = "" if rows is None else f" of {rows} entries"
         raise ValueError(f"{name} must be a 1-D array{size}, got shape {out.shape}")
-    if out.size and (out.min() < low or (high is not None and out.max() > high)):
-        raise ValueError(f"{name} must " + (f"be >= {low}" if high is None else f"lie in {low}..{high}"))
+    if out.size and (out.min() < low or out.max() > high):
+        raise ValueError(f"{name} must lie in {low}..{high}")
     return out
 
 
-def _check_features(features: np.ndarray) -> np.ndarray:
+def _check_features(features, name: str = "features") -> np.ndarray:
+    """``features`` as a float64 matrix, not copied when it already is one.
+    Fail, naming ``name``, unless it is 2-D with finite entries only."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
-        raise ValueError(f"features must be a 2-D matrix, got ndim={features.ndim}")
+        raise ValueError(f"{name} must be a 2-D matrix, got ndim={features.ndim}")
     if not np.all(np.isfinite(features)):
-        raise ValueError("features contain NaN or infinite entries")
+        raise ValueError(f"{name} contain NaN or infinite entries")
     return features
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    """An n x p feature matrix with canonical class labels 1..class_count."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    class_count: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "features", _check_features(self.features))
-        check_count("class_count", self.class_count)
-        labels = check_labels("labels", self.labels, 1, self.class_count, rows=self.n_rows)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_rows(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class UnlabeledDataset:
-    """Test-set features with optional ground truth used only for evaluation.
-
-    ground_truth entries are canonical class labels, or ``OUTLIER`` for rows
-    whose class was not present in training. Fitting paths never read it.
-    """
-
-    features: np.ndarray
-    ground_truth: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "features", _check_features(self.features))
-        if self.ground_truth is not None:
-            gt = check_labels("ground_truth", self.ground_truth, OUTLIER, None, rows=self.n_rows)
-            object.__setattr__(self, "ground_truth", gt)
-
-    @property
-    def n_rows(self) -> int:
-        return self.features.shape[0]
 
 
 def split_in_two(n: int, rng: RngStream) -> np.ndarray:

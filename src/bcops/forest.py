@@ -217,6 +217,8 @@ def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
     rank = np.empty((p, n), dtype=np.int32)
     np.put_along_axis(rank, xt.argsort(axis=1), np.arange(n)[None, :], axis=1)
     n_trees = config.n_trees
+    # no node holds more than the n bootstrap draws, and a larger int does not fit a float
+    min_node_size = min(config.min_node_size, n)
 
     # the level's nodes in (tree, id) order; node i holds the size[i]
     # distinct bootstrap rows rows[start[i]:start[i] + size[i]], each with
@@ -248,7 +250,7 @@ def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
         parts.append((tree, feature, threshold, right, node_n1 / node_n))
         if config.max_depth is not None and depth >= config.max_depth:
             break
-        cand = np.flatnonzero((node_n1 > 0) & (node_n1 < node_n) & (node_n > config.min_node_size))
+        cand = np.flatnonzero((node_n1 > 0) & (node_n1 < node_n) & (node_n > min_node_size))
         if not cand.size:
             break
         seq = _sequence(key[cand], 2 + p)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import fit_bcops, never_leaves_a_set, predict_all
-from .data import OUTLIER, LabeledDataset, RngStream, UnlabeledDataset, check_count, stratified_subsample
+from .data import OUTLIER, RngStream, check_count, stratified_subsample
 from .datagen import N_FEATURES, ROWS_PER_CLASS, gen_example1_test, gen_example1_train, gen_example2
 from .forest import ForestConfig
 from .metrics import CLASS_COVERAGE, METRIC_NAMES, SummaryRow, class_order, evaluate
@@ -32,6 +32,8 @@ CSV_HEADER = ["experiment", "phi", "repetition", "metric", "class", "value"]
 # Class k of the mnist experiment is digit _MNIST_TRAIN_DIGITS[k - 1]; test
 # rows of any other label are outliers.
 _MNIST_TRAIN_DIGITS = (0, 1, 2, 3, 4, 5)
+# example2 has one class per feature
+_CLASS_COUNTS = {"example1": 2, "example2": N_FEATURES, "mnist": len(_MNIST_TRAIN_DIGITS)}
 _DEFAULT_PHI_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 _DEFAULT_REPETITIONS = {"example1": 100, "example2": 20, "mnist": 5}
 
@@ -70,13 +72,14 @@ class ExperimentConfig:
             raise ValueError(f"phi_grid must hold numbers only, got {list(self.phi_grid)!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if not self.phi_grid:
+            raise ValueError("phi_grid needs at least one value")
+        # checked before float(), which overflows on a JSON integer of 400 digits
+        if any(not 0.0 <= p <= 1.0 for p in self.phi_grid):
+            raise ValueError("phi_grid values must lie in [0, 1]")
         # adding 0.0 turns -0.0 into 0.0, which sweep.csv prints as 0.0000
         grid = tuple(float(p) + 0.0 for p in self.phi_grid)
         object.__setattr__(self, "phi_grid", grid)
-        if not grid:
-            raise ValueError("phi_grid needs at least one value")
-        if any(not 0.0 <= p <= 1.0 for p in grid):
-            raise ValueError("phi_grid values must lie in [0, 1]")
         for a, b in zip(grid, grid[1:]):
             # values in [0, 1] print at one width, so their strings compare as
             # the printed numbers; rounding keeps order, so this also asks a < b
@@ -106,6 +109,9 @@ class ExperimentConfig:
         missing = [k for k in _MNIST_PATH_KEYS if not isinstance(self.mnist_paths.get(k), str)]
         if missing:
             raise ValueError(f"mnist_paths missing or non-string field(s): {', '.join(missing)}")
+        unknown = sorted(set(self.mnist_paths) - set(_MNIST_PATH_KEYS))
+        if unknown:
+            raise ValueError(f"unknown mnist_paths field(s): {', '.join(unknown)}")
         if self.mnist_per_class is None:
             object.__setattr__(self, "mnist_per_class", 500)
         check_count("mnist_per_class", self.mnist_per_class)
@@ -222,25 +228,23 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
     stream = RngStream(config.seed, phi_index * _STREAMS_PER_PHI + rep)
     data_rng, noise_rng, fit_rng = stream.derive(1), stream.derive(2), stream.derive(3)
 
+    class_count = _CLASS_COUNTS[config.experiment]
     display: dict = {}
     if config.experiment == "example1":
-        train = gen_example1_train(data_rng.derive(1))
-        test = gen_example1_test(data_rng.derive(2))
+        x, labels = gen_example1_train(data_rng.derive(1))
+        test_x, truth = gen_example1_test(data_rng.derive(2))
     elif config.experiment == "example2":
-        train, test = gen_example2(data_rng)
+        x, labels, test_x, truth = gen_example2(data_rng)
     else:
-        pixels, labels, test = mnist_ctx
-        rows = stratified_subsample(labels, len(_MNIST_TRAIN_DIGITS), config.mnist_per_class, data_rng)
-        train = LabeledDataset(scale_pixels(pixels[rows]), labels[rows], len(_MNIST_TRAIN_DIGITS))
+        pixels, pool_labels, test_x, truth = mnist_ctx
+        rows = stratified_subsample(pool_labels, class_count, config.mnist_per_class, data_rng)
+        x, labels = scale_pixels(pixels[rows]), pool_labels[rows]
         display = dict(enumerate(_MNIST_TRAIN_DIGITS, 1))
 
-    spec = CorruptionSpec(phi, train.class_count, config.inclusive_resampling)
-    noisy = corrupt_labels(train.labels, spec, noise_rng)
-    train = LabeledDataset(train.features, noisy, train.class_count)
-
-    model = fit_bcops(
-        train, test, config.forest, config.alpha, fit_rng, imbalance_cap=config.imbalance_cap
-    )
+    spec = CorruptionSpec(phi, class_count, config.inclusive_resampling)
+    noisy = corrupt_labels(labels, spec, noise_rng)
+    model = fit_bcops(x, noisy, class_count, test_x, config.forest, config.alpha, fit_rng,
+                      imbalance_cap=config.imbalance_cap)
     for k, fold, m in model.warnings:
         print(f"warning: phi={phi}, repetition={rep}: class {display.get(k, k)} has {m} calibration "
               f"rows for test fold {fold}: p-values there are at least 1/{m + 1} > alpha "
@@ -249,7 +253,7 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
     return [
         SweepRow(config.experiment, phi, rep, r.metric_name,
                  display.get(r.class_label, r.class_label), r.value)
-        for r in evaluate(sets, test.ground_truth)
+        for r in evaluate(sets, truth)
     ]
 
 
@@ -260,7 +264,7 @@ def run_sweep(config: ExperimentConfig) -> tuple:
         # The cells share one float test set; the uint8 test pixels, and the
         # file payload they view, are dropped before cell 1.
         train_pixels, train_labels, test_pixels, truth = mnist_ctx
-        mnist_ctx = train_pixels, train_labels, UnlabeledDataset(scale_pixels(test_pixels), truth)
+        mnist_ctx = train_pixels, train_labels, scale_pixels(test_pixels), truth
         del test_pixels
     rows = []
     for i, phi in enumerate(config.phi_grid):

@@ -213,12 +213,12 @@ def test_criterion_7_corruption_rate():
 @pytest.fixture(scope="module")
 def ex1_fitted_model():
     rng = RngStream(SEED + 3)
-    train = gen_example1_train(rng.derive(1))
-    test = gen_example1_test(rng.derive(2))
-    model = fit_bcops(train, test, ForestConfig(seed_stream=RngStream(0), **{
+    x, labels = gen_example1_train(rng.derive(1))
+    test_x, truth = gen_example1_test(rng.derive(2))
+    model = fit_bcops(x, labels, 2, test_x, ForestConfig(seed_stream=RngStream(0), **{
         k: v for k, v in EX1_FOREST.items()
     }), 0.05, rng.derive(3))
-    return model, test
+    return model, truth
 
 
 def test_criterion_8_alpha_monotonicity(ex1_fitted_model):
@@ -239,15 +239,15 @@ def test_criterion_9_super_uniformity():
     pooled = []
     for rep in range(2):
         rng = RngStream(SEED + 4, rep)
-        train = gen_example1_train(rng.derive(1))
-        test = gen_example1_test(rng.derive(2))
+        x, labels = gen_example1_train(rng.derive(1))
+        test_x, truth = gen_example1_test(rng.derive(2))
         model = fit_bcops(
-            train, test,
+            x, labels, 2, test_x,
             ForestConfig(**EX1_FOREST), 0.05, rng.derive(3),
         )
         pv = conformal_p_values(model)
         for k in (1, 2):
-            pooled.extend(pv[test.ground_truth == k, k - 1])
+            pooled.extend(pv[truth == k, k - 1])
     pooled = np.asarray(pooled)
     excesses = {t: float((pooled <= t).mean()) - t for t in (0.05, 0.1, 0.2)}
     ok = pooled.size >= 2000 and all(e <= 0.03 for e in excesses.values())

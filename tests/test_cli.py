@@ -150,6 +150,22 @@ def test_wrongly_typed_field_fails_at_load(tmp_path, capsys, command, field, val
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("overrides,message", [
+    ({"phi_grid": [0.0, 10**400]}, "phi_grid values must lie in [0, 1]"),
+    ({"experiment": "mnist", "mnist_paths": {
+        "train_images": "x", "train_labels": "x", "test_images": "x", "test_labels": "x",
+        "test_lables": "x"}}, "unknown mnist_paths field(s): test_lables"),
+])
+def test_config_rejected_at_load_by_both_commands(tmp_path, capsys, command, overrides, message):
+    argv = [command, "--config", str(_write_config(tmp_path, **overrides))]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_mnist_without_paths_fails_naming_field(tmp_path, capsys):
     cfg = _write_config(tmp_path, experiment="mnist")
     code = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -530,14 +546,14 @@ def _loads(cfg):
 
 
 def _with_pinned_examples(test):
-    """Pin each damage and the seeds just out of range, one at a time, to an
-    mnist config that is valid without it: random draws seldom leave all
-    the other fields valid."""
+    """Pin each damage, the seeds just out of range and a min_node_size too
+    large for a float, one at a time, to an mnist config that is valid
+    without it: random draws seldom leave all the other fields valid."""
     valid = dict(experiment="mnist", mnist_per_class=3, alpha=0.2, imbalance_cap=5.0,
                  phi_grid=[0.0], forest={"n_trees": 1, "max_depth": 3, "min_node_size": 5, "mtry": None},
                  seed=2**64 - 1, inclusive_resampling=True, out_under_a_file=False, damage=None,
                  damaged_file="train_images")
-    cases = [{}, {"seed": -1}, {"seed": 2**64}]
+    cases = [{}, {"seed": -1}, {"seed": 2**64}, {"forest": {**valid["forest"], "min_node_size": 10**400}}]
     cases += [{"damage": damage, "damaged_file": IDX_FILES[i % 4]} for i, damage in enumerate(IDX_DAMAGES)]
     for case in cases:
         test = example(**{**valid, **case})(test)
@@ -554,7 +570,7 @@ def _with_pinned_examples(test):
     forest=st.fixed_dictionaries({
         "n_trees": st.integers(1, 2),
         "max_depth": st.none() | st.integers(1, 6),
-        "min_node_size": st.integers(1, 200),
+        "min_node_size": st.integers(1, 200) | st.integers(201, 10**400),
         "mtry": st.none() | st.integers(1, 12) | st.sampled_from([784, 785]),
     }),
     seed=st.integers(-1, 2**64),

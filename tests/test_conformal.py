@@ -1,14 +1,15 @@
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bcops.conformal as conformal_mod
 from bcops.conformal import BcopsModel, conformal_p_value, conformal_p_values, fit_bcops, predict_all
-from bcops.data import LabeledDataset, RngStream, UnlabeledDataset
+from bcops.data import RngStream
 from bcops.datagen import gen_example1_test, gen_example1_train
 from bcops.forest import ForestConfig, predict_probability_batch
 
@@ -68,33 +69,29 @@ def test_p_value_is_the_rank_count(calibration, scores):
 def _two_blob_data(rng_seed=0, n=120):
     g = np.random.default_rng(rng_seed)
     x = np.vstack([g.normal(0, 1, (n // 2, 2)), g.normal(4, 1, (n // 2, 2))])
-    labels = np.repeat([1, 2], n // 2)
-    return LabeledDataset(x, labels, 2)
+    return x, np.repeat([1, 2], n // 2)
 
 
 def _matching_test(rng_seed=1, n=90):
+    """Test features: a third of the rows from each class, a third far from both."""
     g = np.random.default_rng(rng_seed)
-    x = np.vstack([g.normal(0, 1, (n // 3, 2)), g.normal(4, 1, (n // 3, 2)), g.normal(-6, 1, (n // 3, 2))])
-    truth = np.concatenate([np.full(n // 3, 1), np.full(n // 3, 2), np.zeros(n // 3, dtype=int)])
-    return UnlabeledDataset(x, truth)
+    return np.vstack([g.normal(0, 1, (n // 3, 2)), g.normal(4, 1, (n // 3, 2)), g.normal(-6, 1, (n // 3, 2))])
 
 
 class TestFitBcops:
     def test_fold_assignment_covers_every_row(self):
-        model = fit_bcops(_two_blob_data(), _matching_test(), SMALL_FOREST, 0.05, RngStream(1))
+        model = fit_bcops(*_two_blob_data(), 2, _matching_test(), SMALL_FOREST, 0.05, RngStream(1))
         assert np.isin(model.fold_assignment, (1, 2)).all()
         assert len(model.fold_assignment) == 90
 
     def test_calibration_sorted(self):
-        model = fit_bcops(_two_blob_data(), _matching_test(), SMALL_FOREST, 0.05, RngStream(2))
+        model = fit_bcops(*_two_blob_data(), 2, _matching_test(), SMALL_FOREST, 0.05, RngStream(2))
         for cal in model.calibration_scores.values():
             assert np.all(np.diff(cal) >= 0)
 
     def test_absent_class_gets_p_value_one_with_one_warning_per_test_fold(self):
         # labels can lose a class to noise; it then joins every set
-        data = _two_blob_data()
-        model = fit_bcops(LabeledDataset(data.features, data.labels, class_count=3),
-                          _matching_test(), SMALL_FOREST, 0.05, RngStream(3))
+        model = fit_bcops(*_two_blob_data(), 3, _matching_test(), SMALL_FOREST, 0.05, RngStream(3))
         assert model.classifiers[(3, 1)] is None and model.classifiers[(3, 2)] is None
         assert (conformal_p_values(model)[:, 2] == 1.0).all()
         # one (class, test fold, calibration rows) record per test fold
@@ -112,11 +109,11 @@ class TestFitBcops:
         monkeypatch.setattr(conformal_mod, "split_in_two",
                             lambda n, rng: folds if n == 600 else split(n, rng))
         test_x = np.vstack([g.normal(0, 1, (100, 2)), g.normal(0, 1, (100, 2)) + [2.0, 0.0]])
-        test = UnlabeledDataset(test_x, np.repeat([1, 2], 100))
-        model = fit_bcops(LabeledDataset(x, labels, 2), test, SMALL_FOREST, 0.05, RngStream(0))
+        truth = np.repeat([1, 2], 100)
+        model = fit_bcops(x, labels, 2, test_x, SMALL_FOREST, 0.05, RngStream(0))
         sets = predict_all(model)
         for t in (1, 2):
-            rows = (test.ground_truth == 2) & (model.fold_assignment == t)
+            rows = (truth == 2) & (model.fold_assignment == t)
             assert rows.any() and sets[rows, 1].all()
         assert model.classifiers[(2, 1)] is None and model.classifiers[(2, 2)] is None
 
@@ -131,8 +128,8 @@ class TestFitBcops:
         split = conformal_mod.split_in_two
         monkeypatch.setattr(conformal_mod, "split_in_two", lambda n, rng: (
             (np.arange(n) % 2 + 1).astype(np.int8) if n == labels.size else split(n, rng)))
-        test = UnlabeledDataset(np.vstack([g.normal(0, 1, (40, 2)), g.normal(6, 0.5, (20, 2))]))
-        model = fit_bcops(LabeledDataset(x, labels, 2), test, SMALL_FOREST, 0.05, RngStream(1))
+        test_x = np.vstack([g.normal(0, 1, (40, 2)), g.normal(6, 0.5, (20, 2))])
+        model = fit_bcops(x, labels, 2, test_x, SMALL_FOREST, 0.05, RngStream(1))
         assert all(model.calibration_scores[(2, f)].size == m for f in (1, 2))
         sets = predict_all(model)
         if m == 18:
@@ -146,8 +143,7 @@ class TestFitBcops:
         g = np.random.default_rng(5)
         x = np.vstack([g.normal(0, 1, (40, 2)), g.normal(9, 0.1, (1, 2))])
         labels = np.array([1] * 40 + [2])
-        train = LabeledDataset(x, labels, 2)
-        model = fit_bcops(train, _matching_test(), SMALL_FOREST, 0.05, RngStream(4))
+        model = fit_bcops(x, labels, 2, _matching_test(), SMALL_FOREST, 0.05, RngStream(4))
         assert model.warnings
         # class 2 has no calibration on one side, so it is always included there
         sets = predict_all(model)
@@ -158,32 +154,28 @@ class TestFitBcops:
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            fit_bcops(_two_blob_data(), _matching_test(), SMALL_FOREST, 0.0, RngStream(0))
+            fit_bcops(*_two_blob_data(), 2, _matching_test(), SMALL_FOREST, 0.0, RngStream(0))
 
     def test_empty_test_set_errors(self):
         with pytest.raises(ValueError, match="test set needs at least 2 rows, one per fold, got 0"):
-            fit_bcops(_two_blob_data(), UnlabeledDataset(np.zeros((0, 2))), SMALL_FOREST, 0.05,
-                      RngStream(0))
+            fit_bcops(*_two_blob_data(), 2, np.zeros((0, 2)), SMALL_FOREST, 0.05, RngStream(0))
 
     def test_feature_count_mismatch_errors_before_growth(self, monkeypatch):
         monkeypatch.setattr(conformal_mod, "train_forest", lambda *a: pytest.fail("forest grown"))
         with pytest.raises(ValueError, match="test set has 3 features, training set has 2"):
-            fit_bcops(_two_blob_data(), UnlabeledDataset(np.zeros((4, 3))), SMALL_FOREST, 0.05,
-                      RngStream(0))
+            fit_bcops(*_two_blob_data(), 2, np.zeros((4, 3)), SMALL_FOREST, 0.05, RngStream(0))
 
     def test_one_row_test_set_errors(self):
         # one row leaves a test fold empty, and its class sets would all be full
         with pytest.raises(ValueError, match="test set needs at least 2 rows, one per fold, got 1"):
-            fit_bcops(_two_blob_data(), UnlabeledDataset(np.zeros((1, 2))), SMALL_FOREST, 0.05,
-                      RngStream(0))
+            fit_bcops(*_two_blob_data(), 2, np.zeros((1, 2)), SMALL_FOREST, 0.05, RngStream(0))
 
     def test_two_row_test_set_fills_both_folds(self):
-        model = fit_bcops(_two_blob_data(), UnlabeledDataset(np.zeros((2, 2))), SMALL_FOREST,
-                          0.05, RngStream(0))
+        model = fit_bcops(*_two_blob_data(), 2, np.zeros((2, 2)), SMALL_FOREST, 0.05, RngStream(0))
         assert sorted(model.fold_assignment.tolist()) == [1, 2] and not model.warnings
 
     def test_transductive_determinism(self):
-        args = (_two_blob_data(), _matching_test(), SMALL_FOREST, 0.05, RngStream(6))
+        args = (*_two_blob_data(), 2, _matching_test(), SMALL_FOREST, 0.05, RngStream(6))
         sets1 = predict_all(fit_bcops(*args))
         sets2 = predict_all(fit_bcops(*args))
         assert np.array_equal(sets1, sets2)
@@ -191,7 +183,7 @@ class TestFitBcops:
     def test_imbalance_cap_validation(self):
         for cap in (0.0, -1.0, float("inf")):
             with pytest.raises(ValueError, match="imbalance_cap"):
-                fit_bcops(_two_blob_data(), _matching_test(), SMALL_FOREST, 0.05, RngStream(0),
+                fit_bcops(*_two_blob_data(), 2, _matching_test(), SMALL_FOREST, 0.05, RngStream(0),
                           imbalance_cap=cap)
 
     def test_tiny_imbalance_cap_still_subsamples(self, monkeypatch):
@@ -204,22 +196,47 @@ class TestFitBcops:
             return original(data, config)
 
         monkeypatch.setattr(conformal_mod, "train_forest", recording)
-        fit_bcops(_two_blob_data(), _matching_test(), SMALL_FOREST, 0.05, RngStream(0),
+        fit_bcops(*_two_blob_data(), 2, _matching_test(), SMALL_FOREST, 0.05, RngStream(0),
                   imbalance_cap=1e-6)
         assert len(sizes) == 4
         assert all(n_class > 1 and n_test == 1 for n_class, n_test in sizes)
 
     def test_huge_imbalance_cap_never_subsamples(self):
         # 1e308 * class rows is inf, which int() cannot convert
-        args = (_two_blob_data(), _matching_test(), SMALL_FOREST, 0.05, RngStream(0))
+        args = (*_two_blob_data(), 2, _matching_test(), SMALL_FOREST, 0.05, RngStream(0))
         huge = fit_bcops(*args, imbalance_cap=1e308)
         assert np.array_equal(conformal_p_values(huge),
                               conformal_p_values(fit_bcops(*args, imbalance_cap=1e6)))
 
 
+def _no_growth(*args):
+    raise AssertionError("a forest was grown")
+
+
+# imbalance_cap 1e-6 cuts each of the 4 forests' test rows to one, so at most
+# 4 of the 90 test rows reach a forest, and of the 5 pinned test rows at least
+# one is a row that subsampling leaves out.
+@settings(max_examples=100, deadline=None)
+@given(in_test=st.booleans(), row=st.integers(0, 119), col=st.integers(0, 1),
+       value=st.sampled_from([np.nan, np.inf, -np.inf]))
+@example(in_test=True, row=0, col=0, value=np.nan)
+@example(in_test=True, row=1, col=1, value=np.inf)
+@example(in_test=True, row=2, col=0, value=-np.inf)
+@example(in_test=True, row=3, col=1, value=np.nan)
+@example(in_test=True, row=4, col=0, value=np.inf)
+def test_non_finite_entry_fails_before_growth(in_test, row, col, value):
+    x, labels = _two_blob_data()
+    test_x = _matching_test()
+    target = test_x if in_test else x
+    target[row % target.shape[0], col] = value
+    with mock.patch.object(conformal_mod, "train_forest", _no_growth):
+        with pytest.raises(ValueError, match="contain NaN or infinite entries"):
+            fit_bcops(x, labels, 2, test_x, SMALL_FOREST, 0.05, RngStream(0), imbalance_cap=1e-6)
+
+
 @pytest.fixture(scope="module")
 def fitted_model():
-    return fit_bcops(_two_blob_data(), _matching_test(), SMALL_FOREST, 0.05, RngStream(7))
+    return fit_bcops(*_two_blob_data(), 2, _matching_test(), SMALL_FOREST, 0.05, RngStream(7))
 
 
 class TestPredict:
@@ -272,11 +289,11 @@ class TestPredict:
 
 
 def test_far_outliers_get_empty_sets():
-    train = gen_example1_train(RngStream(8, 1))
+    x, labels = gen_example1_train(RngStream(8, 1))
     g = np.random.default_rng(0)
     far = np.full((200, 10), 100.0) + g.normal(0, 0.1, (200, 10))
-    test = UnlabeledDataset(np.vstack([gen_example1_test(RngStream(8, 2)).features, far]))
-    model = fit_bcops(train, test, ForestConfig(n_trees=30, min_node_size=25, max_depth=12), 0.05, RngStream(8, 3))
+    test_x = np.vstack([gen_example1_test(RngStream(8, 2))[0], far])
+    model = fit_bcops(x, labels, 2, test_x, ForestConfig(n_trees=30, min_node_size=25, max_depth=12), 0.05, RngStream(8, 3))
     sets = predict_all(model)
     abstained = int(np.count_nonzero(~sets[-200:].any(axis=1)))
     assert abstained >= 0.95 * 200
@@ -289,9 +306,7 @@ def test_duplicated_class_p_values_indistinguishable():
     for rep in range(4):
         g = np.random.default_rng(rep)
         x = g.normal(0, 1, (200, 3))
-        train = LabeledDataset(x, np.repeat([1, 2], 100), 2)
-        test = UnlabeledDataset(g.normal(0, 1, (150, 3)))
-        model = fit_bcops(train, test, SMALL_FOREST, 0.05, RngStream(20, rep))
+        model = fit_bcops(x, np.repeat([1, 2], 100), 2, g.normal(0, 1, (150, 3)), SMALL_FOREST, 0.05, RngStream(20, rep))
         pv = conformal_p_values(model)
         p1_pool.extend(pv[:, 0])
         p2_pool.extend(pv[:, 1])
@@ -307,8 +322,7 @@ def test_duplicated_class_p_values_indistinguishable():
 def test_score_order_sufficiency(monkeypatch):
     # a strictly increasing transform of one (class, fold) scorer, applied to
     # test and calibration scores alike, leaves every prediction set unchanged
-    train, test = _two_blob_data(), _matching_test()
-    model = fit_bcops(train, test, SMALL_FOREST, 0.05, RngStream(9))
+    model = fit_bcops(*_two_blob_data(), 2, _matching_test(), SMALL_FOREST, 0.05, RngStream(9))
     baseline = predict_all(model)
 
     target = model.classifiers[(1, 1)]
@@ -339,17 +353,16 @@ def test_p_values_hold_one_test_fold_copy_at_a_time():
     # each fold's copy of its test rows is half the test matrix; holding the
     # first while the second is made would double the peak
     g = np.random.default_rng(5)
-    train = LabeledDataset(g.normal(size=(40, 200)), np.repeat([1, 2], 20), 2)
-    test = UnlabeledDataset(g.normal(size=(4000, 200)))
+    x, test_x = g.normal(size=(40, 200)), g.normal(size=(4000, 200))
     config = ForestConfig(n_trees=2, min_node_size=5, max_depth=4)
-    model = fit_bcops(train, test, config, 0.1, RngStream(5), imbalance_cap=1.0)
+    model = fit_bcops(x, np.repeat([1, 2], 20), 2, test_x, config, 0.1, RngStream(5), imbalance_cap=1.0)
     tracemalloc.start()
     try:
         conformal_p_values(model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.75 * test.features.nbytes
+    assert peak <= 0.75 * test_x.nbytes
 
 
 def test_super_uniformity_quick():
@@ -357,11 +370,11 @@ def test_super_uniformity_quick():
     pooled = []
     for rep in range(2):
         rng = RngStream(30, rep)
-        train = gen_example1_train(rng.derive(1))
-        test = gen_example1_test(rng.derive(2))
-        model = fit_bcops(train, test, ForestConfig(n_trees=20, min_node_size=30, max_depth=10), 0.05, rng.derive(3))
+        x, labels = gen_example1_train(rng.derive(1))
+        test_x, truth = gen_example1_test(rng.derive(2))
+        model = fit_bcops(x, labels, 2, test_x, ForestConfig(n_trees=20, min_node_size=30, max_depth=10),
+                          0.05, rng.derive(3))
         pv = conformal_p_values(model)
-        truth = test.ground_truth
         for k in (1, 2):
             pooled.extend(pv[truth == k, k - 1])
     pooled = np.asarray(pooled)

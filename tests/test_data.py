@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcops.data import (
-    LabeledDataset,
-    RngStream,
-    UnlabeledDataset,
-    check_labels,
-    split_in_two,
-    stratified_subsample,
-)
-from bcops.forest import BinaryTrainingSet
+from bcops.conformal import fit_bcops
+from bcops.data import RngStream, check_labels, split_in_two, stratified_subsample
+from bcops.forest import BinaryTrainingSet, ForestConfig
 from bcops.metrics import evaluate
 from bcops.noise import CorruptionSpec, corrupt_labels
 
@@ -81,83 +75,84 @@ def test_split_in_two_fold_sizes_and_replay(n, seed, stream_id):
 def _dataset(rows_per_class, k, seed=0):
     g = np.random.default_rng(seed)
     n = rows_per_class * k
-    return LabeledDataset(g.normal(size=(n, 3)), np.repeat(np.arange(1, k + 1), rows_per_class), k)
+    return g.normal(size=(n, 3)), np.repeat(np.arange(1, k + 1), rows_per_class)
 
 
 class TestStratifiedSubsample:
     def test_zero_case(self):
-        rows = stratified_subsample(_dataset(10, 2).labels, 2, 0, RngStream(1))
+        rows = stratified_subsample(_dataset(10, 2)[1], 2, 0, RngStream(1))
         assert rows.size == 0
 
     def test_exhaustive_case_is_permutation(self):
-        data = _dataset(10, 2)
-        rows = stratified_subsample(data.labels, 2, 10, RngStream(1))
-        assert np.array_equal(data.features[rows], data.features)
-        assert np.array_equal(data.labels[rows], data.labels)
+        x, labels = _dataset(10, 2)
+        rows = stratified_subsample(labels, 2, 10, RngStream(1))
+        assert np.array_equal(x[rows], x)
+        assert np.array_equal(labels[rows], labels)
 
     def test_counts(self):
-        data = _dataset(100, 3)
-        rows = stratified_subsample(data.labels, 3, 20, RngStream(4))
+        _, labels = _dataset(100, 3)
+        rows = stratified_subsample(labels, 3, 20, RngStream(4))
         assert rows.size == 60
         for k in (1, 2, 3):
-            assert int((data.labels[rows] == k).sum()) == 20
+            assert int((labels[rows] == k).sum()) == 20
 
     def test_rows_kept_verbatim(self):
-        data = _dataset(50, 2, seed=9)
-        rows = stratified_subsample(data.labels, 2, 5, RngStream(2))
-        features, labels = data.features[rows], data.labels[rows]
+        x, labels = _dataset(50, 2, seed=9)
+        rows = stratified_subsample(labels, 2, 5, RngStream(2))
         # every sampled row appears verbatim in the source with the same label
-        for i in range(rows.size):
-            matches = np.nonzero((data.features == features[i]).all(axis=1))[0]
+        for i in rows:
+            matches = np.nonzero((x == x[i]).all(axis=1))[0]
             assert matches.size == 1
-            assert data.labels[matches[0]] == labels[i]
+            assert labels[matches[0]] == labels[i]
 
     def test_insufficient_rows_names_class(self):
         with pytest.raises(ValueError, match="class 1"):
-            stratified_subsample(_dataset(10, 2).labels, 2, 11, RngStream(0))
+            stratified_subsample(_dataset(10, 2)[1], 2, 11, RngStream(0))
+
+
+_FOREST = ForestConfig(n_trees=2, min_node_size=2, max_depth=3)
+
+
+def _fit(features, labels, class_count=2, test_features=np.zeros((2, 2))):
+    return fit_bcops(features, labels, class_count, test_features, _FOREST, 0.1, RngStream(0))
 
 
 class TestContainers:
+    """Rejections of the inputs of a fit, by fit_bcops, and of the ground
+    truth, by evaluate."""
+
     def test_labeled_rejects_nan(self):
-        with pytest.raises(ValueError, match="NaN"):
-            LabeledDataset(np.array([[np.nan, 1.0]]), [1], 1)
+        with pytest.raises(ValueError, match="features contain NaN"):
+            _fit(np.array([[np.nan, 1.0], [0.0, 1.0]]), [1, 2])
 
     def test_labeled_rejects_bad_label(self):
-        with pytest.raises(ValueError):
-            LabeledDataset(np.zeros((2, 2)), [1, 3], 2)
+        with pytest.raises(ValueError, match=r"labels must lie in 1\.\.2"):
+            _fit(np.zeros((2, 2)), [1, 3])
 
     def test_labeled_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            LabeledDataset(np.zeros((2, 2)), [1], 2)
+        with pytest.raises(ValueError, match="labels must be a 1-D array of 2 entries"):
+            _fit(np.zeros((2, 2)), [1])
 
     def test_unlabeled_ground_truth_length(self):
-        with pytest.raises(ValueError):
-            UnlabeledDataset(np.zeros((3, 2)), [1, 2])
-
-    def test_unlabeled_ground_truth_optional(self):
-        ds = UnlabeledDataset(np.zeros((3, 2)))
-        assert ds.ground_truth is None
-
-
-def _two_rows():
-    return LabeledDataset(np.zeros((2, 1)), [1, 2], 2)
+        with pytest.raises(ValueError, match="truth classes.*1-D array of 3 entries"):
+            evaluate(np.ones((3, 2), dtype=bool), [1, 2])
 
 
 # One input per rejection at each boundary that takes labels, a count or a
 # feature matrix.
 @pytest.mark.parametrize("call,message", [
-    (lambda: LabeledDataset(np.zeros((2, 1)), [1.9, 2.2], 2), "labels must be whole numbers"),
-    (lambda: UnlabeledDataset(np.zeros((2, 1)), [0.5, 1.7]), "ground_truth must be whole numbers"),
+    (lambda: _fit(np.zeros((2, 2)), [1.9, 2.2]), "labels must be whole numbers"),
     (lambda: BinaryTrainingSet(np.zeros((3, 1)), [0.5, 1, 0]), "targets must be whole numbers"),
     (lambda: corrupt_labels([1.7, 2.2], CorruptionSpec(0.0, 2), RngStream(0)),
      "labels must be whole numbers"),
     (lambda: evaluate(np.ones((2, 3), dtype=bool), [1.5, 2.9]), "truth classes.*whole numbers"),
-    (lambda: LabeledDataset(np.zeros((2, 1)), [1, 1], True), "class_count must be an integer"),
+    (lambda: _fit(np.zeros((2, 2)), [1, 1], class_count=True), "class_count must be an integer"),
     (lambda: CorruptionSpec(0.5, 2.5), "class_count must be an integer"),
-    (lambda: stratified_subsample(_two_rows().labels, 2, 1.5, RngStream(0)), "per_class must be an integer"),
-    (lambda: stratified_subsample(_two_rows().labels, 2, True, RngStream(0)), "per_class must be an integer"),
-    (lambda: stratified_subsample(_two_rows().labels, 2, -1, RngStream(0)), "per_class must be >= 0"),
-    (lambda: UnlabeledDataset(np.zeros((2, 1)), [0, -1]), "ground_truth must be >= 0"),
+    (lambda: stratified_subsample(np.array([1, 2]), 2, 1.5, RngStream(0)), "per_class must be an integer"),
+    (lambda: stratified_subsample(np.array([1, 2]), 2, True, RngStream(0)), "per_class must be an integer"),
+    (lambda: stratified_subsample(np.array([1, 2]), 2, -1, RngStream(0)), "per_class must be >= 0"),
+    (lambda: evaluate(np.ones((2, 3), dtype=bool), [0, -1]), r"truth classes.*must lie in 0\.\.3"),
+    (lambda: _fit(np.zeros((2, 2)), [1, 2], test_features=np.zeros(4)), "test_features must be a 2-D"),
     (lambda: BinaryTrainingSet(np.zeros((3, 1)), [0, 1]), "targets must be a 1-D array of 3"),
     (lambda: BinaryTrainingSet(np.zeros((2, 1)), [0, 2]), r"targets must lie in 0\.\.1"),
     (lambda: BinaryTrainingSet(np.full((2, 1), np.nan), [0, 1]), "NaN"),
@@ -170,9 +165,12 @@ def test_boundary_rejects(call, message):
 
 def test_whole_number_floats_accepted_as_labels():
     x = np.zeros((2, 1))
-    assert LabeledDataset(x, [1.0, 2.0], 2).labels.tolist() == [1, 2]
-    assert UnlabeledDataset(x, [0.0, 2.0]).ground_truth.tolist() == [0, 2]
     assert BinaryTrainingSet(x, [1.0, 0.0]).targets.dtype == np.int8
+    x, labels = _dataset(4, 2)
+    floats = _fit(x, labels.astype(np.float64), test_features=x)
+    ints = _fit(x, labels, test_features=x)
+    for key, cal in ints.calibration_scores.items():
+        assert np.array_equal(floats.calibration_scores[key], cal)
     spec = CorruptionSpec(0.5, 2)
     assert np.array_equal(corrupt_labels([1.0, 2.0], spec, RngStream(3)),
                           corrupt_labels([1, 2], spec, RngStream(3)))
@@ -185,7 +183,7 @@ class TestCheckLabels:
         out = check_labels("y", np.array([3, 1], dtype=np.uint8), 1, 3)
         assert out.dtype == np.int64 and out.tolist() == [3, 1]
         assert check_labels("y", [], 1, 2, rows=0).shape == (0,)
-        assert check_labels("y", [7, 10**9], 0, None).tolist() == [7, 10**9]
+        assert check_labels("y", [7, 10**9], 0, 10**9).tolist() == [7, 10**9]
 
     @pytest.mark.parametrize("labels,rows,message", [
         ([np.nan, 1.0], None, "y must be whole numbers"),

@@ -76,6 +76,9 @@ class TestConfig:
             _tiny_config(phi_grid=[0.0, 1.5])
         with pytest.raises(ValueError, match="phi_grid needs at least one value"):
             _tiny_config(phi_grid=[])
+        # a JSON integer of 401 digits is too large for float()
+        with pytest.raises(ValueError, match=r"phi_grid values must lie in \[0, 1\]"):
+            _tiny_config(phi_grid=[0.0, 10**400])
 
     def test_mnist_requires_paths(self):
         with pytest.raises(ValueError, match="mnist_paths"):
