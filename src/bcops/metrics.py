@@ -22,12 +22,12 @@ class MetricRecord(NamedTuple):
     class_label: int | None = None
 
 
-def evaluate(include, truth) -> list[MetricRecord]:
+def evaluate(include, ground_truth) -> list[MetricRecord]:
     """Coverage and abstention of a membership matrix against ground truth.
 
     ``include`` is the (n_test, K) boolean matrix of ``predict_all``
-    (column k-1 holds class k); ``truth`` holds each row's class in 1..K or
-    OUTLIER. Records: class coverage for every class present in ``truth``
+    (column k-1 holds class k); ``ground_truth`` holds each row's class in
+    1..K or OUTLIER. Records: class coverage for every class present in it
     (ascending), then their unweighted mean, then the fraction of outlier
     rows with an empty set. A record whose rows are absent is omitted.
     """
@@ -35,7 +35,9 @@ def evaluate(include, truth) -> list[MetricRecord]:
     if include.ndim != 2 or include.shape[0] == 0:
         raise ValueError("need an (n, K) membership matrix with n >= 1")
     n, k_count = include.shape
-    truth = check_labels("truth classes (OUTLIER is 0)", truth, OUTLIER, k_count, rows=n)
+    truth = check_labels(
+        "truth classes (OUTLIER is 0) in ground_truth", ground_truth, OUTLIER, k_count, rows=n
+    )
 
     inlier = np.nonzero(truth != OUTLIER)[0]
     labels = truth[inlier]

@@ -146,6 +146,7 @@ class TestContainers:
     (lambda: corrupt_labels([1.7, 2.2], CorruptionSpec(0.0, 2), RngStream(0)),
      "labels must be whole numbers"),
     (lambda: evaluate(np.ones((2, 3), dtype=bool), [1.5, 2.9]), "truth classes.*whole numbers"),
+    (lambda: evaluate(np.ones((2, 3), dtype=bool), [0.5, 1.7]), "ground_truth must be whole numbers"),
     (lambda: _fit(np.zeros((2, 2)), [1, 1], class_count=True), "class_count must be an integer"),
     (lambda: CorruptionSpec(0.5, 2.5), "class_count must be an integer"),
     (lambda: stratified_subsample(np.array([1, 2]), 2, 1.5, RngStream(0)), "per_class must be an integer"),
