@@ -3,7 +3,8 @@
 Config files are JSON with the ExperimentConfig field names. Flag overrides
 win over the file. ``validate`` loads the config and makes the checks of
 ``sweep.check_inputs``. Before its first cell, ``run`` creates its output
-directory, checks that it can write a file there, and makes the same checks.
+directory, checks that it can write a file there and that each of its output
+names there is free or a writable regular file, and makes the same checks.
 Sweep cells run in order on one thread; --threads is accepted and ignored.
 Each fit warning of a cell goes to stderr with the cell's phi and repetition.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 from dataclasses import replace
@@ -53,6 +55,10 @@ def _cmd_run(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         tempfile.TemporaryFile(dir=out_dir).close()
+        names = ["sweep.csv", "summary.csv", "run_metadata.json"] + [f"{m}.svg" for m in METRIC_NAMES]
+        for path in (out_dir / name for name in names):
+            if path.exists() and not (path.is_file() and os.access(path, os.W_OK)):
+                raise OSError(f"{path} is not a writable regular file")
     except OSError as exc:
         raise OSError(f"cannot write to output directory {out_dir}: {exc}") from exc
 

@@ -14,7 +14,7 @@ iff its rank-based p-value exceeds alpha; an empty set is an abstention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,8 +109,9 @@ def fit_bcops(
                 binary = BinaryTrainingSet(
                     np.vstack([features[own], test_features[tf]]),
                     np.concatenate([np.ones(own.size, dtype=np.int8), np.zeros(tf.size, dtype=np.int8)]),
+                    cell_rng.derive(2),
                 )
-                model = train_forest(binary, replace(forest_config, seed_stream=cell_rng.derive(2)))
+                model = train_forest(binary, forest_config)
                 cal = np.sort(predict_probability_batch(model, features[opp]))
             classifiers[(k, f)], calibration[(k, f)] = model, cal
             if never_leaves_a_set(cal.size, alpha):

@@ -14,7 +14,7 @@ winning segment, so no rows are re-sorted or partitioned.
 
 Draws are keyed, as in counter-based random number generation (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). Tree t
-bootstraps from the stream derived from (seed_stream, t), and its root key
+bootstraps from the stream derived from (data.stream, t), and its root key
 hashes that stream's seed and id. A node key seeds a splitmix64 sequence:
 its first two outputs are the children's keys, and the node's features are
 the mtry whose next outputs are smallest. So a tree depends only on its own
@@ -24,7 +24,7 @@ depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +36,7 @@ from .data import _GOLDEN, RngStream, _check_features, _splitmix64, check_count,
 class BinaryTrainingSet:
     features: np.ndarray
     targets: np.ndarray
+    stream: RngStream = RngStream(0, 0)  # tree t bootstraps from stream.derive(t)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", _check_features(self.features))
@@ -49,13 +50,14 @@ class ForestConfig:
     mtry: int | None = None  # None -> floor(sqrt(p)), at least 1
     min_node_size: int = 5
     max_depth: int | None = None
-    seed_stream: RngStream = field(default_factory=lambda: RngStream(0, 0))
 
     def __post_init__(self) -> None:
         for name in ("n_trees", "min_node_size", "mtry", "max_depth"):
             value = getattr(self, name)
             if value is not None or name not in ("mtry", "max_depth"):
                 check_count(name, value)
+        if self.n_trees > np.iinfo(np.intp).max:  # numpy indexes the trees with intp
+            raise ValueError(f"n_trees must be <= {np.iinfo(np.intp).max}")
 
 
 class _Tree(NamedTuple):
@@ -225,7 +227,7 @@ def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
     # its bootstrap count in weight
     rows, weight, key = [], [], []
     for t in range(n_trees):
-        stream = config.seed_stream.derive(t)
+        stream = data.stream.derive(t)
         counts = np.bincount(stream.generator().integers(0, n, size=n), minlength=n)
         rows.append(np.flatnonzero(counts).astype(np.int32))
         weight.append(counts[rows[-1]].astype(np.int32))

@@ -128,8 +128,7 @@ class ExperimentConfig:
         forest_raw = {} if raw.get("forest") is None else raw["forest"]
         if not isinstance(forest_raw, dict):
             raise ValueError(f"forest must be an object, got {forest_raw!r}")
-        forest_keys = {f.name for f in fields(ForestConfig)} - {"seed_stream"}
-        unknown = sorted(set(forest_raw) - forest_keys)
+        unknown = sorted(set(forest_raw) - {f.name for f in fields(ForestConfig)})
         if unknown:
             raise ValueError(f"unknown forest field(s): {', '.join(unknown)}")
         kwargs["forest"] = ForestConfig(**forest_raw)
@@ -139,7 +138,6 @@ class ExperimentConfig:
         """The fields in declaration order, as JSON values."""
         out = asdict(self)
         out["phi_grid"] = list(self.phi_grid)
-        del out["forest"]["seed_stream"]
         return out
 
 

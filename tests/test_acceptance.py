@@ -215,9 +215,7 @@ def ex1_fitted_model():
     rng = RngStream(SEED + 3)
     x, labels = gen_example1_train(rng.derive(1))
     test_x, truth = gen_example1_test(rng.derive(2))
-    model = fit_bcops(x, labels, 2, test_x, ForestConfig(seed_stream=RngStream(0), **{
-        k: v for k, v in EX1_FOREST.items()
-    }), 0.05, rng.derive(3))
+    model = fit_bcops(x, labels, 2, test_x, ForestConfig(**EX1_FOREST), 0.05, rng.derive(3))
     return model, truth
 
 

@@ -156,13 +156,24 @@ def test_wrongly_typed_field_fails_at_load(tmp_path, capsys, command, field, val
     ({"experiment": "mnist", "mnist_paths": {
         "train_images": "x", "train_labels": "x", "test_images": "x", "test_labels": "x",
         "test_lables": "x"}}, "unknown mnist_paths field(s): test_lables"),
+    ({"experiment": "example3"},
+     "experiment must be one of ('example1', 'example2', 'mnist'), got 'example3'"),
+    ({"alpha": 0}, "alpha must lie in (0, 1)"),
+    ({"alpha": 1}, "alpha must lie in (0, 1)"),
+    ({"alpha": -0.5}, "alpha must lie in (0, 1)"),
+    # numpy cannot index that many trees, and the sweep would never finish
+    ({"forest": {"n_trees": 10**30}}, f"n_trees must be <= {np.iinfo(np.intp).max}"),
 ])
-def test_config_rejected_at_load_by_both_commands(tmp_path, capsys, command, overrides, message):
+def test_config_rejected_at_load_by_both_commands(tmp_path, capsys, monkeypatch, command,
+                                                  overrides, message):
+    cells = []
+    monkeypatch.setattr(bcops.sweep, "_run_cell", lambda *args: cells.append(args) or [])
     argv = [command, "--config", str(_write_config(tmp_path, **overrides))]
     if command == "run":
         argv += ["--out", str(tmp_path / "out")]
     assert cli_main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert cells == []
     assert not (tmp_path / "out").exists()
 
 
@@ -255,6 +266,23 @@ def test_run_names_unwritable_output(tmp_path, capsys, monkeypatch):
     assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot write to output directory {out}: ")
     assert cells == []
+
+
+@pytest.mark.parametrize("name", ["sweep.csv", "summary.csv", "run_metadata.json",
+                                  "class_coverage.svg", "mean_coverage.svg", "abstention_rate.svg"])
+def test_run_names_output_taken_by_a_directory(tmp_path, capsys, monkeypatch, name):
+    # each output name is checked before cell 1, not when the sweep writes it
+    cells = []
+    monkeypatch.setattr(bcops.sweep, "_run_cell", lambda *args: cells.append(args) or [])
+    cfg = _write_config(tmp_path, phi_grid=[0.0], forest={"n_trees": 2, "min_node_size": 120})
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write to output directory {out}: {out / name} is not a writable regular file\n"
+    )
+    assert cells == []
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 def _one_row_per_class_config(tmp_path, **overrides):
@@ -465,7 +493,7 @@ def test_seed_above_64_bits_fails_at_load(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("field,value", [("n_trees", 2.5), ("max_depth", -3)])
+@pytest.mark.parametrize("field,value", [("n_trees", 2.5), ("max_depth", -3), ("n_trees", 10**30)])
 def test_validate_rejects_bad_forest_sizes(tmp_path, capsys, field, value):
     cfg = _write_config(tmp_path, forest={"n_trees": 4, field: value})
     assert cli_main(["validate", "--config", str(cfg)]) == 1

@@ -19,13 +19,13 @@ from bcops.forest import (
 )
 
 
-def _separable_1d(g, n_per_class=50, gap=1.0):
+def _separable_1d(g, n_per_class=50, gap=1.0, stream=RngStream(0, 0)):
     # class 1 iff x > 0, with a margin of at least `gap` between classes
     x0 = g.uniform(-3.0, -gap / 2, size=(n_per_class, 1))
     x1 = g.uniform(gap / 2, 3.0, size=(n_per_class, 1))
     x = np.vstack([x0, x1])
     y = np.concatenate([np.zeros(n_per_class, dtype=int), np.ones(n_per_class, dtype=int)])
-    return BinaryTrainingSet(x, y)
+    return BinaryTrainingSet(x, y, stream)
 
 
 def _best_split(values, targets):
@@ -173,8 +173,8 @@ class TestBestSplit:
 
 class TestTrainForest:
     def test_separable_training_accuracy(self):
-        data = _separable_1d(np.random.default_rng(0))
-        model = train_forest(data, ForestConfig(n_trees=30, seed_stream=RngStream(1)))
+        data = _separable_1d(np.random.default_rng(0), stream=RngStream(1))
+        model = train_forest(data, ForestConfig(n_trees=30))
         probs = predict_probability_batch(model, data.features)
         assert np.mean((probs > 0.5) == data.targets) == 1.0
 
@@ -185,17 +185,15 @@ class TestTrainForest:
         preds = []
         for seed in range(20):
             model = train_forest(
-                BinaryTrainingSet(x, y),
-                ForestConfig(n_trees=10, seed_stream=RngStream(seed)),
+                BinaryTrainingSet(x, y, RngStream(seed)),
+                ForestConfig(n_trees=10),
             )
             preds.append(predict_probability_batch(model, x[:1])[0])
         assert abs(float(np.mean(preds)) - 1 / 3) <= 0.02
 
     def test_stump_predicts_prior_exactly(self):
-        data = _separable_1d(np.random.default_rng(3), n_per_class=32)
-        model = train_forest(
-            data, ForestConfig(n_trees=1, min_node_size=64, seed_stream=RngStream(0))
-        )
+        data = _separable_1d(np.random.default_rng(3), n_per_class=32, stream=RngStream(0))
+        model = train_forest(data, ForestConfig(n_trees=1, min_node_size=64))
         # bootstrap resample prior, read off the single leaf
         tree = model.trees[0]
         assert len(tree.prob) == 1
@@ -212,8 +210,8 @@ class TestTrainForest:
             )
 
     def test_bootstrap_determinism(self):
-        data = _separable_1d(np.random.default_rng(5))
-        cfg = ForestConfig(n_trees=8, seed_stream=RngStream(11, 7))
+        data = _separable_1d(np.random.default_rng(5), stream=RngStream(11, 7))
+        cfg = ForestConfig(n_trees=8)
         m1 = train_forest(data, cfg)
         m2 = train_forest(data, cfg)
         for t1, t2 in zip(m1.trees, m2.trees):
@@ -222,19 +220,19 @@ class TestTrainForest:
             assert np.array_equal(t1.prob, t2.prob)
 
 
-def _ex1_sized_set():
+def _ex1_sized_set(stream):
     """1,000 rows of 10 features with a noisy binary target, the size of an
-    example1 binary set."""
+    example1 binary set, bootstrapped from ``stream``."""
     g = np.random.default_rng(12)
     x = g.normal(size=(1000, 10))
-    return BinaryTrainingSet(x, (x[:, 0] + x[:, 1] + g.normal(size=1000) > 0).astype(int))
+    return BinaryTrainingSet(x, (x[:, 0] + x[:, 1] + g.normal(size=1000) > 0).astype(int), stream)
 
 
 def test_growth_memory_peak():
     # every per-level temporary is freed once used; keeping them all alive
     # would triple this peak and show in the sweep's peak RSS
-    data = _ex1_sized_set()
-    config = ForestConfig(n_trees=10, min_node_size=25, max_depth=12, seed_stream=RngStream(1, 2))
+    data = _ex1_sized_set(RngStream(1, 2))
+    config = ForestConfig(n_trees=10, min_node_size=25, max_depth=12)
     tracemalloc.start()
     try:
         train_forest(data, config)
@@ -246,10 +244,9 @@ def test_growth_memory_peak():
 
 def test_tree_depends_only_on_its_stream():
     # the first k trees of an m-tree forest are those of a k-tree forest
-    data = _ex1_sized_set()
-    config = ForestConfig(n_trees=7, min_node_size=3, seed_stream=RngStream(4, 9))
-    large = train_forest(data, config)
-    small = train_forest(data, ForestConfig(n_trees=3, min_node_size=3, seed_stream=RngStream(4, 9)))
+    data = _ex1_sized_set(RngStream(4, 9))
+    large = train_forest(data, ForestConfig(n_trees=7, min_node_size=3))
+    small = train_forest(data, ForestConfig(n_trees=3, min_node_size=3))
     for a, b in zip(small.trees, large.trees):
         assert a.levels == b.levels > 0
         for name in ("feature", "threshold", "right", "prob"):
@@ -286,13 +283,13 @@ class TestPredict:
         assert predict_probability_batch(model, np.array([[100.0, -3.0]]))[0] == 1.0
 
     def test_separable_far_point(self):
-        data = _separable_1d(np.random.default_rng(1))
-        model = train_forest(data, ForestConfig(n_trees=30, seed_stream=RngStream(2)))
+        data = _separable_1d(np.random.default_rng(1), stream=RngStream(2))
+        model = train_forest(data, ForestConfig(n_trees=30))
         assert predict_probability_batch(model, np.array([[3.0]]))[0] >= 0.9
 
     def test_invariant_to_tree_order(self):
-        data = _separable_1d(np.random.default_rng(7))
-        model = train_forest(data, ForestConfig(n_trees=9, seed_stream=RngStream(3)))
+        data = _separable_1d(np.random.default_rng(7), stream=RngStream(3))
+        model = train_forest(data, ForestConfig(n_trees=9))
         reversed_model = ForestModel(trees=model.trees[::-1], n_features=model.n_features)
         x = np.random.default_rng(8).normal(size=(40, 1))
         assert np.allclose(
@@ -301,8 +298,8 @@ class TestPredict:
         )
 
     def test_dimension_mismatch(self):
-        data = _separable_1d(np.random.default_rng(2))
-        model = train_forest(data, ForestConfig(n_trees=2, seed_stream=RngStream(0)))
+        data = _separable_1d(np.random.default_rng(2), stream=RngStream(0))
+        model = train_forest(data, ForestConfig(n_trees=2))
         with pytest.raises(ValueError):
             predict_probability_batch(model, np.zeros((1, 3)))
         with pytest.raises(ValueError):
@@ -434,13 +431,11 @@ def test_forest_matches_reference_bit_for_bit(values, rows, cols, mtry, min_node
     if y.min() == y.max():
         y[0] = 1 - y[0]
     mtry = min(mtry, cols)
-    config = ForestConfig(
-        n_trees=4, mtry=mtry, min_node_size=min_node_size, max_depth=max_depth,
-        seed_stream=RngStream(5, 3),
-    )
-    model = train_forest(BinaryTrainingSet(x, y), config)
+    config = ForestConfig(n_trees=4, mtry=mtry, min_node_size=min_node_size, max_depth=max_depth)
+    stream = RngStream(5, 3)
+    model = train_forest(BinaryTrainingSet(x, y, stream), config)
     trees = [
-        _reference_tree(x, y, config.seed_stream.derive(t), mtry, min_node_size, max_depth)
+        _reference_tree(x, y, stream.derive(t), mtry, min_node_size, max_depth)
         for t in range(config.n_trees)
     ]
     for tree, nodes in zip(model.trees, trees):
@@ -463,9 +458,9 @@ def test_monotone_separable_out_of_sample():
     accs = []
     for seed in range(20):
         g = np.random.default_rng(seed)
-        train = _separable_1d(g, n_per_class=25)
+        train = _separable_1d(g, n_per_class=25, stream=RngStream(seed, 1))
         test = _separable_1d(g, n_per_class=25)
-        model = train_forest(train, ForestConfig(n_trees=20, seed_stream=RngStream(seed, 1)))
+        model = train_forest(train, ForestConfig(n_trees=20))
         probs = predict_probability_batch(model, test.features)
         accs.append(float(np.mean((probs > 0.5) == test.targets)))
     assert np.mean(accs) >= 0.95
@@ -487,6 +482,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match="must be an integer"):
             ForestConfig(**bad)
     assert ForestConfig(n_trees=np.int64(3), max_depth=1).n_trees == 3
+    # numpy indexes the trees with intp
+    top = np.iinfo(np.intp).max
+    assert ForestConfig(n_trees=top).n_trees == top
+    with pytest.raises(ValueError, match=f"n_trees must be <= {top}"):
+        ForestConfig(n_trees=top + 1)
 
 
 @settings(deadline=None)
@@ -505,11 +505,10 @@ def test_leaves_agree_with_their_rows(rows, cols, ties, min_node_size, max_depth
     x = g.integers(0, 4, size=(rows, cols)).astype(float) if ties else g.normal(size=(rows, cols))
     y = g.integers(0, 2, size=rows)
     y[:2] = 0, 1
-    config = ForestConfig(n_trees=3, min_node_size=min_node_size, max_depth=max_depth,
-                          seed_stream=RngStream(seed % 97))
-    model = train_forest(BinaryTrainingSet(x, y), config)
+    data = BinaryTrainingSet(x, y, RngStream(seed % 97))
+    model = train_forest(data, ForestConfig(n_trees=3, min_node_size=min_node_size, max_depth=max_depth))
     for t, tree in enumerate(model.trees):
-        boot = config.seed_stream.derive(t).generator().integers(0, rows, size=rows)
+        boot = data.stream.derive(t).generator().integers(0, rows, size=rows)
         xb, node = x[boot], np.zeros(rows, dtype=np.intp)
         for _ in range(tree.levels):
             go_left = xb[np.arange(rows), tree.feature[node]] < tree.threshold[node]
