@@ -2,7 +2,8 @@
 
 Config files are JSON with the ExperimentConfig field names. Flag overrides
 win over the file. ``validate`` loads the config and makes the checks of
-``sweep.check_inputs``. Before its first cell, ``run`` creates its output
+``sweep.check_inputs``, then prints the run's size: cells x forests per
+cell x trees per forest. Before its first cell, ``run`` creates its output
 directory, checks that it can write a file there and that each of its output
 names there is free or a writable regular file, and makes the same checks.
 Sweep cells run in order on one thread; --threads is accepted and ignored.
@@ -22,6 +23,7 @@ from pathlib import Path
 from .metrics import METRIC_NAMES
 from .svgplot import render_lineplot
 from .sweep import (
+    CLASS_COUNTS,
     ExperimentConfig,
     aggregate_result,
     check_inputs,
@@ -94,7 +96,10 @@ def _cmd_validate(args) -> int:
     else:
         _, train_labels, _, truth = pools
         detail = f"train rows={train_labels.size} (digits 0-5), test rows={truth.size}"
-    print(f"config ok: experiment={config.experiment}, {detail}")
+    # a cell grows two forests per class, one per fold
+    size = (f"{len(config.phi_grid) * config.repetitions} cells x "
+            f"{2 * CLASS_COUNTS[config.experiment]} forests x {config.forest.n_trees} trees")
+    print(f"config ok: experiment={config.experiment}, {detail}, {size}")
     return 0
 
 

@@ -7,7 +7,8 @@ rows once, with the number of times it was drawn.
 
 All trees of a forest grow together, one depth level at a time, in the
 manner of the exact greedy search over presorted columns of XGBoost (Chen &
-Guestrin, arXiv:1603.02754, section 4.1). One argsort on segment * n + rank
+Guestrin, arXiv:1603.02754, section 4.1). One in-place sort of the keys
+segment * n + rank, each with its source index packed into its low bits,
 sorts the drawn columns of every node of the level, Gini comes from
 segmented cumulative sums, and each child keeps a slice of its parent's
 winning segment, so no rows are re-sorted or partitioned.
@@ -103,6 +104,24 @@ class _Splits(NamedTuple):
     weight: np.ndarray
 
 
+def _sorted_sources(key, src, key_bound, src_bound) -> np.ndarray:
+    """``src[np.argsort(key)]`` for distinct int64 keys in [0, key_bound)
+    and sources in [0, src_bound). When key_bound shifted left by the bit
+    length of src_bound fits an int64, each source is packed into the low
+    bits of its key, the packed keys are sorted in place and the sources
+    are taken back in place, so ``key`` is overwritten and returned; a sort
+    is faster than an argsort, and no order array is made. Otherwise the
+    keys are argsorted."""
+    bits = int(src_bound).bit_length()
+    if int(key_bound) << bits > 2**63:
+        return src[key.argsort()]
+    key <<= bits
+    key |= src
+    key.sort()
+    key &= (1 << bits) - 1
+    return key
+
+
 def _best_splits(xt, rank, y, rows, weight, start, size, feats) -> _Splits:
     """Best Gini split of every node i of a level. The node holds the
     ``size[i]`` distinct rows ``rows[start[i]:start[i] + size[i]]`` of the
@@ -124,8 +143,9 @@ def _best_splits(xt, rank, y, rows, weight, start, size, feats) -> _Splits:
     seglen = np.repeat(size, mtry)
     end = np.cumsum(seglen)
     first = end - seglen
-    # one argsort on segment * n_rows + rank sorts every segment at once;
-    # element e of segment s is row start[s // mtry] + e - first[s] of the level
+    # one sort of the distinct keys segment * n_rows + rank sorts every
+    # segment at once; element e of segment s is row
+    # start[s // mtry] + e - first[s] of the level
     src = np.repeat(np.repeat(start, mtry) - first, seglen)
     src += np.arange(end[-1])
     col = np.repeat(feats.ravel() * n_rows, seglen)
@@ -133,10 +153,8 @@ def _best_splits(xt, rank, y, rows, weight, start, size, feats) -> _Splits:
     col += rows[src]
     key += rank.ravel()[col]
     del col
-    order = key.argsort()
-    del key
-    src = src[order]
-    del order
+    src = _sorted_sources(key, src, seglen.size * n_rows, rows.size)
+    del key  # src may be key's buffer, which del src must free
     sorted_rows, w = rows[src], weight[src]
     del src
     col = np.repeat(feats.ravel() * n_rows, seglen)

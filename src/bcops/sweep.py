@@ -33,7 +33,7 @@ CSV_HEADER = ["experiment", "phi", "repetition", "metric", "class", "value"]
 # rows of any other label are outliers.
 _MNIST_TRAIN_DIGITS = (0, 1, 2, 3, 4, 5)
 # example2 has one class per feature
-_CLASS_COUNTS = {"example1": 2, "example2": N_FEATURES, "mnist": len(_MNIST_TRAIN_DIGITS)}
+CLASS_COUNTS = {"example1": 2, "example2": N_FEATURES, "mnist": len(_MNIST_TRAIN_DIGITS)}
 _DEFAULT_PHI_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 _DEFAULT_REPETITIONS = {"example1": 100, "example2": 20, "mnist": 5}
 
@@ -226,7 +226,7 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
     stream = RngStream(config.seed, phi_index * _STREAMS_PER_PHI + rep)
     data_rng, noise_rng, fit_rng = stream.derive(1), stream.derive(2), stream.derive(3)
 
-    class_count = _CLASS_COUNTS[config.experiment]
+    class_count = CLASS_COUNTS[config.experiment]
     display: dict = {}
     if config.experiment == "example1":
         x, labels = gen_example1_train(data_rng.derive(1))

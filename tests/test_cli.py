@@ -42,7 +42,17 @@ def _write_config(tmp_path, **overrides):
 def test_validate_ok(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert cli_main(["validate", "--config", str(cfg)]) == 0
-    assert "config ok" in capsys.readouterr().out
+    # the run's size: 2 phi levels x 1 repetition, 2 forests for each of 2
+    # classes, and 4 trees a forest
+    assert capsys.readouterr().out == (
+        "config ok: experiment=example1, phi levels=2, repetitions=1, 2 cells x 4 forests x 4 trees\n"
+    )
+
+
+def test_validate_shows_the_size_of_a_run_too_large_to_finish(tmp_path, capsys):
+    cfg = _write_config(tmp_path, forest={"n_trees": 2**62})
+    assert cli_main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.endswith(f", 2 cells x 4 forests x {2**62} trees\n")
 
 
 def test_validate_mnist_dry_run(tmp_path, capsys):
@@ -57,7 +67,10 @@ def test_validate_mnist_dry_run(tmp_path, capsys):
         files[f"{role}_labels"] = str(lab)
     cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=1)
     assert cli_main(["validate", "--config", str(cfg)]) == 0
-    assert "experiment=mnist" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("config ok: experiment=mnist, ")
+    # 6 training digits, so 12 forests a cell
+    assert out.endswith(", test rows=20, 2 cells x 12 forests x 4 trees\n")
     # mtry is checked against the parsed image width, 784
     cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=1,
                         forest={"mtry": 785})

@@ -13,6 +13,7 @@ from bcops.forest import (
     ForestModel,
     _best_splits,
     _sequence,
+    _sorted_sources,
     _Tree,
     predict_probability_batch,
     train_forest,
@@ -226,6 +227,27 @@ def _ex1_sized_set(stream):
     g = np.random.default_rng(12)
     x = g.normal(size=(1000, 10))
     return BinaryTrainingSet(x, (x[:, 0] + x[:, 1] + g.normal(size=1000) > 0).astype(int), stream)
+
+
+@pytest.mark.parametrize("packs", [True, False])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), src_bound=st.integers(1, 2**62))
+def test_sorted_sources_match_argsort(data, src_bound, packs):
+    # the largest key bound whose keys pack beside a source index, and the
+    # next one, which is argsorted
+    fit = 2**63 >> src_bound.bit_length()
+    key_bound = data.draw(st.integers(1, fit) | st.just(fit)) if packs else fit + 1
+    near_bound = st.integers(max(0, key_bound - 64), key_bound - 1)
+    key = np.array(data.draw(st.lists(near_bound | st.integers(0, key_bound - 1), min_size=1,
+                                      max_size=min(key_bound, 40), unique=True)), dtype=np.int64)
+    src = np.array(data.draw(st.lists(st.integers(0, src_bound - 1), min_size=key.size,
+                                      max_size=key.size)), dtype=np.int64)
+    expected, kept = src[np.argsort(key)], key.copy()
+    out = _sorted_sources(key, src, key_bound, src_bound)
+    assert np.array_equal(out, expected)
+    # packing sorts the keys in place; argsort leaves them as they were
+    assert np.shares_memory(out, key) == packs
+    assert packs or np.array_equal(key, kept)
 
 
 def test_growth_memory_peak():

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,10 +30,13 @@ def test_failing_hypothesis_test_is_reported(tmp_path):
     # must not turn into an INTERNALERROR that hides the failing test; any
     # other warning still fails its test.
     (tmp_path / "test_falsified.py").write_text(FAILING_GIVEN)
+    # the summary's node ids hold a path relative to the checkout, so a
+    # terminal of 80 columns cuts them short at a long checkout path
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-p", "no:cacheprovider",
          "-q", "test_falsified.py"],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, COLUMNS="1000"),
     )
     assert run.returncode == 1, run.stdout + run.stderr
     assert "INTERNALERROR" not in run.stdout + run.stderr
