@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RngStream, _check_features, check_count, check_labels, split_in_two
+from .data import RngStream, _check_features, check_count, check_labels, check_range, split_in_two
 from .forest import BinaryTrainingSet, ForestConfig, predict_probability_batch, train_forest
 
 
@@ -73,10 +73,8 @@ def fit_bcops(
     larger test folds are subsampled without replacement, keeping at least
     one row.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 0 < imbalance_cap < np.inf:
-        raise ValueError("imbalance_cap must be > 0 and finite")
+    check_range("alpha", alpha, 0, 1, closed=False)
+    check_range("imbalance_cap", imbalance_cap, 0, np.inf, closed=False)
     features = _check_features(features)
     test_features = _check_features(test_features, "test_features")
     check_count("class_count", class_count)

@@ -45,8 +45,10 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.seed <= _MASK64 and 0 <= self.stream_id <= _MASK64):
-            raise ValueError("seed and stream_id must be unsigned 64-bit integers")
+        for name in ("seed", "stream_id"):
+            check_count(name, getattr(self, name), minimum=0)
+            if getattr(self, name) > _MASK64:
+                raise ValueError(f"{name} must be < 2**64")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -64,6 +66,16 @@ def check_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+
+
+def check_range(name: str, value, low, high, closed: bool = True) -> None:
+    """Fail unless value is a number (not a bool) in [low, high], or in
+    (low, high) when not closed; NaN lies in no range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} has the wrong type: {value!r}")
+    if not (low <= value <= high if closed else low < value < high):
+        left, right = "[]" if closed else "()"
+        raise ValueError(f"{name} must lie in {left}{low}, {high}{right}")
 
 
 def check_labels(name: str, labels, low: int, high: int, rows=None) -> np.ndarray:

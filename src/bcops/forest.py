@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _GOLDEN, RngStream, _check_features, _splitmix64, check_count, check_labels
+from .data import _GOLDEN, RngStream, _check_features, _splitmix64, check_count, check_labels, check_range
 
 
 @dataclass(frozen=True)
@@ -229,8 +229,7 @@ def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
     if n == 0 or y.min() == y.max():
         raise ValueError("degenerate binary training set")
     mtry = config.mtry if config.mtry is not None else max(1, int(np.sqrt(p)))
-    if not 1 <= mtry <= p:
-        raise ValueError(f"mtry must lie in 1..{p}")
+    check_range("mtry", mtry, 1, p)
 
     xt = np.ascontiguousarray(x.T)
     yf = y.astype(np.float64)

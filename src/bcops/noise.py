@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RngStream, check_count, check_labels
+from .data import RngStream, check_count, check_labels, check_range
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,7 @@ class CorruptionSpec:
     inclusive_resampling: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.phi <= 1.0:
-            raise ValueError("phi must lie in [0, 1]")
+        check_range("phi", self.phi, 0, 1)
         check_count("class_count", self.class_count, minimum=2)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .data import check_range
 from .metrics import ABSTENTION_RATE, CLASS_COVERAGE, MEAN_COVERAGE, class_order
 
 _PALETTE = [
@@ -54,8 +55,7 @@ def render_lineplot(summary_rows, metric: str, path, alpha: float = 0.05) -> Non
     single line. Coverage charts carry a dashed horizontal reference line
     at 1 - alpha.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_range("alpha", alpha, 0, 1, closed=False)
     rows = [r for r in summary_rows if r.metric_name == metric]
     if not rows:
         raise ValueError(f"no summary rows for metric {metric!r}")

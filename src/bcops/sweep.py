@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import fit_bcops, never_leaves_a_set, predict_all
-from .data import OUTLIER, RngStream, check_count, stratified_subsample
+from .data import OUTLIER, RngStream, check_count, check_range, stratified_subsample
 from .datagen import N_FEATURES, ROWS_PER_CLASS, gen_example1_test, gen_example1_train, gen_example2
 from .forest import ForestConfig
 from .metrics import CLASS_COVERAGE, METRIC_NAMES, SummaryRow, class_order, evaluate
@@ -39,11 +39,10 @@ _DEFAULT_REPETITIONS = {"example1": 100, "example2": 20, "mnist": 5}
 
 _MNIST_PATH_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 
-# Types of the fields that no range check below rejects when wrongly typed;
-# a bool passes only as inclusive_resampling.
+# Types of the fields that no check below rejects when wrongly typed.
 _FIELD_TYPES = {
-    "alpha": (int, float), "phi_grid": (list, tuple), "mnist_paths": (dict, type(None)),
-    "inclusive_resampling": (bool,), "output_dir": (str, type(None)), "imbalance_cap": (int, float),
+    "phi_grid": (list, tuple), "forest": (ForestConfig,), "mnist_paths": (dict, type(None)),
+    "inclusive_resampling": (bool,), "output_dir": (str, type(None)),
 }
 
 
@@ -66,17 +65,14 @@ class ExperimentConfig:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         for name, kinds in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if not isinstance(value, kinds) or isinstance(value, bool) != (kinds == (bool,)):
+            if not isinstance(value, kinds):
                 raise ValueError(f"{name} has the wrong type: {value!r}")
-        if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in self.phi_grid):
-            raise ValueError(f"phi_grid must hold numbers only, got {list(self.phi_grid)!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        check_range("alpha", self.alpha, 0, 1, closed=False)
         if not self.phi_grid:
             raise ValueError("phi_grid needs at least one value")
         # checked before float(), which overflows on a JSON integer of 400 digits
-        if any(not 0.0 <= p <= 1.0 for p in self.phi_grid):
-            raise ValueError("phi_grid values must lie in [0, 1]")
+        for p in self.phi_grid:
+            check_range("phi_grid values", p, 0, 1)
         # adding 0.0 turns -0.0 into 0.0, which sweep.csv prints as 0.0000
         grid = tuple(float(p) + 0.0 for p in self.phi_grid)
         object.__setattr__(self, "phi_grid", grid)
@@ -90,14 +86,10 @@ class ExperimentConfig:
         if self.repetitions is None:
             object.__setattr__(self, "repetitions", _DEFAULT_REPETITIONS[self.experiment])
         check_count("repetitions", self.repetitions)
-        if self.repetitions >= _STREAMS_PER_PHI:
-            # a larger count would reuse the streams of the next phi index
-            raise ValueError(f"repetitions must lie in 1..{_STREAMS_PER_PHI - 1}")
-        check_count("seed", self.seed, minimum=0)
-        if self.seed >= 2**64:
-            raise ValueError("seed must be < 2**64")
-        if not 0 < self.imbalance_cap < np.inf:
-            raise ValueError("imbalance_cap must be > 0 and finite")
+        # a larger count would reuse the streams of the next phi index
+        check_range("repetitions", self.repetitions, 1, _STREAMS_PER_PHI - 1)
+        RngStream(self.seed)  # the cells' streams check the seed
+        check_range("imbalance_cap", self.imbalance_cap, 0, np.inf, closed=False)
         if self.experiment != "mnist":
             for name in ("mnist_paths", "mnist_per_class"):
                 if getattr(self, name) is not None:

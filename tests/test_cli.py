@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import runpy
 import struct
 import subprocess
 import sys
@@ -682,6 +683,20 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "config ok" in proc.stdout
+
+
+@pytest.mark.parametrize("alpha,code", [(0.05, 0), (1.5, 1)])
+def test_main_exits_with_the_code_of_cli_main(tmp_path, monkeypatch, capsys, alpha, code):
+    # `python -m bcops.cli` in this process, so that main() and the
+    # __main__ guard run where a line trace of the suite sees them
+    cfg = _write_config(tmp_path, alpha=alpha)
+    monkeypatch.setattr(sys, "argv", ["bcops", "validate", "--config", str(cfg)])
+    monkeypatch.delitem(sys.modules, "bcops.cli")  # run_module warns when it is there
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("bcops.cli", run_name="__main__")
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert out.startswith("config ok") if code == 0 else err == "error: alpha must lie in (0, 1)\n"
 
 
 # SHA-256 of the outputs of the sweep below, as first written by the

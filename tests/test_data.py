@@ -138,8 +138,8 @@ class TestContainers:
             evaluate(np.ones((3, 2), dtype=bool), [1, 2])
 
 
-# One input per rejection at each boundary that takes labels, a count or a
-# feature matrix.
+# One input per rejection at each boundary that takes labels, a count, a
+# number in a range or a feature matrix.
 @pytest.mark.parametrize("call,message", [
     (lambda: _fit(np.zeros((2, 2)), [1.9, 2.2]), "labels must be whole numbers"),
     (lambda: BinaryTrainingSet(np.zeros((3, 1)), [0.5, 1, 0]), "targets must be whole numbers"),
@@ -158,6 +158,15 @@ class TestContainers:
     (lambda: BinaryTrainingSet(np.zeros((2, 1)), [0, 2]), r"targets must lie in 0\.\.1"),
     (lambda: BinaryTrainingSet(np.full((2, 1), np.nan), [0, 1]), "NaN"),
     (lambda: BinaryTrainingSet(np.zeros(2), [0, 1]), "2-D"),
+    (lambda: RngStream(1.5), "seed must be an integer"),
+    (lambda: RngStream(True), "seed must be an integer"),
+    (lambda: RngStream(0, -1), "stream_id must be >= 0"),
+    (lambda: CorruptionSpec(True, 2), "phi has the wrong type: True"),
+    (lambda: CorruptionSpec("0.1", 2), "phi has the wrong type: '0.1'"),
+    (lambda: fit_bcops(np.zeros((2, 2)), [1, 2], 2, np.zeros((2, 2)), _FOREST, 0.1, RngStream(0),
+                       imbalance_cap=True), "imbalance_cap has the wrong type: True"),
+    (lambda: fit_bcops(np.zeros((2, 2)), [1, 2], 2, np.zeros((2, 2)), _FOREST, "0.1", RngStream(0)),
+     "alpha has the wrong type: '0.1'"),
 ])
 def test_boundary_rejects(call, message):
     with pytest.raises(ValueError, match=message):

@@ -1,3 +1,4 @@
+import re
 import statistics
 import tempfile
 from pathlib import Path
@@ -15,6 +16,7 @@ from bcops.sweep import (
     read_csv,
     run_sweep,
     write_csv,
+    write_summary_csv,
 )
 
 TINY_FOREST = {"n_trees": 4, "min_node_size": 120, "max_depth": 5}
@@ -132,6 +134,11 @@ class TestConfig:
             with pytest.raises(ValueError, match="seed must be < 2"):
                 _tiny_config(seed=seed)
 
+    def test_forest_must_be_a_forest_config(self):
+        # from_dict builds the ForestConfig; a library caller may pass anything
+        with pytest.raises(ValueError, match=r"forest has the wrong type: \{'n_trees': 2\}"):
+            ExperimentConfig(experiment="example1", forest={"n_trees": 2})
+
     def test_repetitions_below_stream_block(self):
         # cell streams are phi_index * 10**6 + repetition
         assert _tiny_config(repetitions=10**6 - 1).repetitions == 10**6 - 1
@@ -242,6 +249,13 @@ class TestCsv:
         path2 = tmp_path / "sweep2.csv"
         write_csv(back, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("write", [write_csv, write_summary_csv])
+    def test_write_failure_names_the_path(self, tmp_path, write):
+        (tmp_path / "file").write_text("a file, not a directory\n")
+        path = tmp_path / "file" / "out.csv"
+        with pytest.raises(OSError, match=f"failed to write CSV to {re.escape(str(path))}: "):
+            write((), path)
 
     def test_read_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
