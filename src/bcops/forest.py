@@ -122,13 +122,14 @@ def _sorted_sources(key, src, key_bound, src_bound) -> np.ndarray:
     return key
 
 
-def _best_splits(xt, rank, y, rows, weight, start, size, feats) -> _Splits:
+def _best_splits(xt, rank, rows, weight, yw, start, size, feats, node_n, node_n1) -> _Splits:
     """Best Gini split of every node i of a level. The node holds the
     ``size[i]`` distinct rows ``rows[start[i]:start[i] + size[i]]`` of the
     feature-major matrix ``xt``, each with its bootstrap count in
-    ``weight``, and searches the ascending columns ``feats[i]``. ``rank``
-    holds each row's position in its column's sorted order and ``y`` the
-    float 0/1 targets.
+    ``weight`` and its target count (count times 0/1 target) in ``yw``,
+    which sum to ``node_n[i]`` and ``node_n1[i]`` over the node. It
+    searches the ascending columns ``feats[i]``. ``rank`` holds each row's
+    position in its column's sorted order.
 
     Each (node, column) pair is a segment of the node's rows sorted by that
     column. A split position lies between two distinct values whose
@@ -155,8 +156,7 @@ def _best_splits(xt, rank, y, rows, weight, start, size, feats) -> _Splits:
     del col
     src = _sorted_sources(key, src, seglen.size * n_rows, rows.size)
     del key  # src may be key's buffer, which del src must free
-    sorted_rows, w = rows[src], weight[src]
-    del src
+    sorted_rows = rows[src]
     col = np.repeat(feats.ravel() * n_rows, seglen)
     col += sorted_rows
     v = xt.ravel()[col]
@@ -171,14 +171,18 @@ def _best_splits(xt, rank, y, rows, weight, start, size, feats) -> _Splits:
     invalid[last[:-1]] = True  # pairs that straddle two segments
 
     # counts and target counts left and right of each position within its
-    # segment
-    nl = np.cumsum(w, dtype=np.float64)
-    l1 = y[sorted_rows]
-    l1 *= w
+    # segment. Every segment holds its node's rows, so subtracting the
+    # previous segment's node totals at each segment start restarts one
+    # cumsum there; the counts are whole numbers, so this is exact.
+    w = weight[src]
+    nl = w.astype(np.float64)
+    l1 = yw[src]
+    del src
+    n, n1 = np.repeat(node_n, mtry), np.repeat(node_n1, mtry)
+    nl[first[1:]] -= n[:-1]
+    l1[first[1:]] -= n1[:-1]
+    np.cumsum(nl, out=nl)
     np.cumsum(l1, out=l1)
-    for cum in (nl, l1):
-        cum -= np.repeat(np.concatenate(([0.0], cum[last[:-1]])), seglen)
-    n, n1 = nl[last], l1[last]
     nr = np.repeat(n, seglen)
     nr -= nl
     r1 = np.repeat(n1, seglen)
@@ -261,8 +265,9 @@ def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
     depth = 0
     while True:
         start = np.cumsum(size) - size
+        yw = weight * yf[rows]
         node_n = np.add.reduceat(weight, start).astype(np.float64)
-        node_n1 = np.add.reduceat(weight * yf[rows], start)
+        node_n1 = np.add.reduceat(yw, start)
         feature = np.zeros(tree.size, dtype=np.intp)
         threshold = np.full(tree.size, np.nan)
         right = ident.copy()
@@ -275,7 +280,9 @@ def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
         seq = _sequence(key[cand], 2 + p)
         feats = np.argpartition(seq[:, 2:], mtry - 1, axis=1)[:, :mtry]
         feats.sort(axis=1)
-        found = _best_splits(xt, rank, yf, rows, weight, start[cand], size[cand], feats)
+        found = _best_splits(xt, rank, rows, weight, yw, start[cand], size[cand], feats,
+                             node_n[cand], node_n1[cand])
+        del yw
         won = found.decrease > 0.0
         split = cand[won]
         if not split.size:

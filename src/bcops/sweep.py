@@ -145,8 +145,7 @@ class SweepRow:
     value: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.phi <= 1.0:
-            raise ValueError(f"phi {self.phi} lies outside [0, 1]")
+        check_range("phi", self.phi, 0, 1)
         check_count("repetition", self.repetition, minimum=0)
         if self.metric not in METRIC_NAMES:
             raise ValueError(f"unknown metric {self.metric!r}")
@@ -154,8 +153,7 @@ class SweepRow:
             raise ValueError(f"a class is given iff the metric is {CLASS_COVERAGE}")
         if self.class_label is not None:
             check_count("class", self.class_label, minimum=0)
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"value {self.value} lies outside [0, 1]")
+        check_range("value", self.value, 0, 1)
 
 
 def prepare_mnist(paths: dict) -> tuple:

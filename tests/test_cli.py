@@ -263,6 +263,65 @@ def test_run_seed_override_changes_output(tmp_path):
     assert base == (out3 / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("cdll", [
+    mock.Mock(side_effect=OSError("no handle on the running process")),
+    mock.Mock(return_value=object()),  # a C library without mallopt
+], ids=["no-handle", "no-mallopt"])
+def test_run_without_mallopt_writes_the_same_sweep(tmp_path, capsys, cdll):
+    cfg = _write_config(tmp_path)
+    plain, patched = tmp_path / "plain", tmp_path / "patched"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(plain)]) == 0
+    with mock.patch("ctypes.CDLL", cdll):
+        assert cli_main(["run", "--config", str(cfg), "--out", str(patched)]) == 0
+    cdll.assert_called_once_with(None)
+    assert (patched / "sweep.csv").read_bytes() == (plain / "sweep.csv").read_bytes()
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# minor page faults taken by one sweep, through `bcops run` or a direct
+# run_sweep call: python -c _FAULTS CONFIG OUT_DIR {run,run_sweep}
+_FAULTS = """
+import contextlib, io, resource, sys
+from bcops.cli import _load_config, cli_main
+from bcops.sweep import run_sweep
+config, out, path = sys.argv[1:]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+if path == "run":
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli_main(["run", "--config", config, "--out", out]):
+            sys.exit("run failed")
+else:
+    run_sweep(_load_config(config))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the heap thresholds that run sets are glibc's")
+def test_run_keeps_freed_level_arrays_in_the_heap(tmp_path):
+    # Under glibc's default thresholds, the arrays that forest growth frees
+    # at each level go back to the kernel and fault in again at the next
+    # level. `bcops run` keeps them in the heap; the library leaves its
+    # host's allocator alone.
+    cfg = _write_config(tmp_path, forest={"n_trees": 10, "min_node_size": 25, "max_depth": 12})
+    src = str(Path(bcops.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    faults = {}
+    for path in ("run", "run_sweep"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAULTS, str(cfg), str(tmp_path / path), path],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults[path] = int(proc.stdout)
+    assert 3 * faults["run"] < faults["run_sweep"], faults
+
+
 def test_run_reps_override(tmp_path):
     cfg = _write_config(tmp_path, phi_grid=[0.0], forest={"n_trees": 2, "min_node_size": 120})
     out = tmp_path / "out"

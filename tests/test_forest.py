@@ -37,9 +37,11 @@ def _best_split(values, targets):
     cols, n = xt.shape
     if n == 0:  # the grower never searches an empty node
         return None
+    targets = np.asarray(targets, dtype=np.float64)
     found = _best_splits(
-        xt, xt.argsort(axis=1).argsort(axis=1), np.asarray(targets, dtype=np.float64),
-        np.arange(n), np.ones(n), np.zeros(1, dtype=np.intp), np.full(1, n), np.arange(cols)[None, :],
+        xt, xt.argsort(axis=1).argsort(axis=1), np.arange(n), np.ones(n), targets,
+        np.zeros(1, dtype=np.intp), np.full(1, n), np.arange(cols)[None, :],
+        np.full(1, float(n)), np.full(1, targets.sum()),
     )
     if found.decrease[0] <= 0.0:
         return None
@@ -473,6 +475,54 @@ def test_forest_matches_reference_bit_for_bit(values, rows, cols, mtry, min_node
     odd[3:6, 0] = [np.nan, np.inf, -np.inf]
     x_new = np.vstack([x[:50], g.normal(size=(50, cols)), odd])
     assert np.array_equal(predict_probability_batch(model, x_new), _reference_scores(trees, x_new))
+
+
+@pytest.mark.parametrize("values", ["continuous", "ties", "adjacent_doubles"])
+@settings(deadline=None)
+@given(
+    rows=st.integers(2, 40),
+    cols=st.integers(1, 4),
+    mtry=st.integers(1, 4),
+    sizes=st.lists(st.integers(2, 40), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_level_search_matches_a_search_per_node(values, rows, cols, mtry, sizes, seed):
+    # The nodes of a level share one sort and one cumsum per count, which
+    # restarts at each segment start; each node must still find the split
+    # that a search of that node alone finds.
+    g = np.random.default_rng(seed)
+    x = g.normal(size=(rows, cols))
+    if values == "ties":
+        x = np.round(x, 1)
+    elif values == "adjacent_doubles":
+        x = 1.0 + np.spacing(1.0) * g.integers(0, 6, size=x.shape)
+    y = g.integers(0, 2, size=rows).astype(np.float64)
+    mtry = min(mtry, cols)
+    size = np.minimum(sizes, rows)
+    start = np.cumsum(size) - size
+    # nodes of different trees may share rows; a node's rows are distinct
+    node_rows = np.concatenate([g.choice(rows, size=s, replace=False) for s in size]).astype(np.int32)
+    weight = g.integers(1, rows + 1, size=node_rows.size).astype(np.int32)
+    yw = weight * y[node_rows]
+    feats = np.sort([g.choice(cols, size=mtry, replace=False) for _ in size], axis=1)
+    xt = np.ascontiguousarray(x.T)
+    found = _best_splits(
+        xt, xt.argsort(axis=1).argsort(axis=1), node_rows, weight, yw, start, size, feats,
+        np.add.reduceat(weight, start).astype(np.float64), np.add.reduceat(yw, start),
+    )
+    for i, (s, k) in enumerate(zip(start, size)):
+        drawn = np.repeat(node_rows[s:s + k], weight[s:s + k])
+        expected = _reference_split(x[drawn][:, feats[i]], y[drawn])
+        if expected is None:
+            assert found.decrease[i] <= 0.0
+            continue
+        col, threshold, decrease = expected
+        assert (found.feature[i], found.threshold[i], found.decrease[i]) == (feats[i, col], threshold, decrease)
+        # the node's winning segment holds its rows, those that go left first
+        segment = found.rows[found.segment_start[i]:][:k]
+        assert np.array_equal(np.sort(segment), np.sort(node_rows[s:s + k]))
+        left = x[segment, found.feature[i]] < found.threshold[i]
+        assert left.sum() == found.left_size[i] and left[:found.left_size[i]].all()
 
 
 def test_monotone_separable_out_of_sample():

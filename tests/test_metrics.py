@@ -205,5 +205,5 @@ def test_metric_record_validation():
         _row(0, 0.1, MEAN_COVERAGE, 0.5, class_label=1)
     with pytest.raises(ValueError, match="class is given iff"):
         _row(0, 0.1, CLASS_COVERAGE, 0.5)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"value must lie in \[0, 1\]"):
         _row(0, 0.1, MEAN_COVERAGE, 1.5)

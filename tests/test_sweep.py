@@ -265,9 +265,9 @@ class TestCsv:
 
     @pytest.mark.parametrize("line,problem", [
         ("example1,0.1000,0,bogus,,0.500000", "unknown metric 'bogus'"),
-        ("example1,0.1000,0,abstention_rate,,1.500000", "outside"),
-        ("example1,0.1000,0,abstention_rate,,-0.100000", "outside"),
-        ("example1,0.1000,0,abstention_rate,,nan", "outside"),
+        ("example1,0.1000,0,abstention_rate,,1.500000", r"value must lie in \[0, 1\]"),
+        ("example1,0.1000,0,abstention_rate,,-0.100000", r"value must lie in \[0, 1\]"),
+        ("example1,0.1000,0,abstention_rate,,nan", r"value must lie in \[0, 1\]"),
         ("example1,0.1000,0,mean_coverage,2,0.500000", "class is given iff"),
         ("example1,0.1000,0,class_coverage,,0.500000", "class is given iff"),
         ("example1,0.1000,0,class_coverage,-1,0.500000", "class must be >= 0"),
@@ -278,9 +278,9 @@ class TestCsv:
         ("example1,0.1000,x,mean_coverage,,0.500000", "invalid literal for int"),
         ("example1,0.1000,0,class_coverage,one,0.500000", "invalid literal for int"),
         ("example1,0.1000,0,mean_coverage,,high", "could not convert string to float: 'high'"),
-        ("example1,nan,0,mean_coverage,,0.500000", r"phi nan lies outside \[0, 1\]"),
-        ("example1,1.5000,0,mean_coverage,,0.500000", r"phi 1.5 lies outside \[0, 1\]"),
-        ("example1,-0.0001,0,mean_coverage,,0.500000", r"phi -0.0001 lies outside \[0, 1\]"),
+        ("example1,nan,0,mean_coverage,,0.500000", r"phi must lie in \[0, 1\]"),
+        ("example1,1.5000,0,mean_coverage,,0.500000", r"phi must lie in \[0, 1\]"),
+        ("example1,-0.0001,0,mean_coverage,,0.500000", r"phi must lie in \[0, 1\]"),
         ("example1,0.1000,-3,mean_coverage,,0.500000", "repetition must be >= 0"),
         ("example2,0.1000,0,mean_coverage,,0.500000",
          "experiment 'example2' differs from 'example1' of the first row"),
