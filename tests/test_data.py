@@ -164,7 +164,8 @@ class TestContainers:
     (lambda: RngStream(0, -1), "stream_id must be >= 0"),
     (lambda: CorruptionSpec(True, 2), "phi has the wrong type: True"),
     (lambda: CorruptionSpec("0.1", 2), "phi has the wrong type: '0.1'"),
-    (lambda: SweepRow("example1", True, 0, "mean_coverage", None, 0.5), "phi has the wrong type: True"),
+    pytest.param(lambda: SweepRow("example1", True, 0, "mean_coverage", None, 0.5),
+                 "phi has the wrong type: True", id="SweepRow-phi has the wrong type: True"),
     (lambda: SweepRow("example1", 0.5, 0, "mean_coverage", None, True), "value has the wrong type: True"),
     (lambda: fit_bcops(np.zeros((2, 2)), [1, 2], 2, np.zeros((2, 2)), _FOREST, 0.1, RngStream(0),
                        imbalance_cap=True), "imbalance_cap has the wrong type: True"),

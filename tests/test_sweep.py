@@ -267,7 +267,8 @@ class TestCsv:
         ("example1,0.1000,0,bogus,,0.500000", "unknown metric 'bogus'"),
         ("example1,0.1000,0,abstention_rate,,1.500000", r"value must lie in \[0, 1\]"),
         ("example1,0.1000,0,abstention_rate,,-0.100000", r"value must lie in \[0, 1\]"),
-        ("example1,0.1000,0,abstention_rate,,nan", r"value must lie in \[0, 1\]"),
+        pytest.param("example1,0.1000,0,abstention_rate,,nan", r"value must lie in \[0, 1\]",
+                     id="example1,0.1000,0,abstention_rate,,nan-outside"),
         ("example1,0.1000,0,mean_coverage,2,0.500000", "class is given iff"),
         ("example1,0.1000,0,class_coverage,,0.500000", "class is given iff"),
         ("example1,0.1000,0,class_coverage,-1,0.500000", "class must be >= 0"),
