@@ -27,7 +27,7 @@ from pathlib import Path
 from .metrics import METRIC_NAMES
 from .svgplot import render_lineplot
 from .sweep import (
-    CLASS_COUNTS,
+    CLASS_LABELS,
     ExperimentConfig,
     aggregate_result,
     check_inputs,
@@ -44,7 +44,7 @@ def _load_config(path: str) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path} must contain a JSON object")
@@ -92,6 +92,7 @@ def _cmd_run(args) -> int:
         json.dumps(run_metadata(config), indent=2) + "\n", encoding="utf-8"
     )
     for metric in METRIC_NAMES:
+        (out_dir / f"{metric}.svg").unlink(missing_ok=True)  # drop an earlier run's plot
         if any(r.metric_name == metric for r in summary):
             render_lineplot(summary, metric, out_dir / f"{metric}.svg", alpha=config.alpha)
     print(f"wrote sweep.csv, summary.csv, run_metadata.json and plots to {out_dir}")
@@ -118,7 +119,7 @@ def _cmd_validate(args) -> int:
         detail = f"train rows={train_labels.size} (digits 0-5), test rows={truth.size}"
     # a cell grows two forests per class, one per fold
     size = (f"{len(config.phi_grid) * config.repetitions} cells x "
-            f"{2 * CLASS_COUNTS[config.experiment]} forests x {config.forest.n_trees} trees")
+            f"{2 * len(CLASS_LABELS[config.experiment])} forests x {config.forest.n_trees} trees")
     print(f"config ok: experiment={config.experiment}, {detail}, {size}")
     return 0
 

@@ -24,16 +24,15 @@ from .metrics import CLASS_COVERAGE, METRIC_NAMES, SummaryRow, class_order, eval
 from .mnist import load_mnist, scale_pixels
 from .noise import CorruptionSpec, corrupt_labels
 
-EXPERIMENTS = ("example1", "example2", "mnist")
+# The labels of classes 1..K in sweep.csv and the warnings. mnist's classes are
+# these digits, and a test row of any other digit is an outlier.
+CLASS_LABELS = {"example1": (1, 2), "example2": tuple(range(1, N_FEATURES + 1)),
+                "mnist": (0, 1, 2, 3, 4, 5)}
+EXPERIMENTS = tuple(CLASS_LABELS)
 _STREAMS_PER_PHI = 10**6
 STREAM_ID_FORMULA = "stream_id = phi_index * 10**6 + repetition"
 CSV_HEADER = ["experiment", "phi", "repetition", "metric", "class", "value"]
 
-# Class k of the mnist experiment is digit _MNIST_TRAIN_DIGITS[k - 1]; test
-# rows of any other label are outliers.
-_MNIST_TRAIN_DIGITS = (0, 1, 2, 3, 4, 5)
-# example2 has one class per feature
-CLASS_COUNTS = {"example1": 2, "example2": N_FEATURES, "mnist": len(_MNIST_TRAIN_DIGITS)}
 _DEFAULT_PHI_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 _DEFAULT_REPETITIONS = {"example1": 100, "example2": 20, "mnist": 5}
 
@@ -44,6 +43,23 @@ _FIELD_TYPES = {
     "phi_grid": (list, tuple), "forest": (ForestConfig,), "mnist_paths": (dict, type(None)),
     "inclusive_resampling": (bool,), "output_dir": (str, type(None)),
 }
+
+
+def _known(what: str, raw, names) -> dict:
+    """The non-null fields of the object ``raw``; a key outside ``names`` fails."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be an object, got {raw!r}")
+    unknown = sorted(set(raw) - set(names))
+    if unknown:
+        raise ValueError(f"unknown {what} field(s): {', '.join(unknown)}")
+    return {k: v for k, v in raw.items() if v is not None}
+
+
+def _labels_of(experiment) -> tuple:
+    """The class labels of an experiment; an unknown experiment fails."""
+    if experiment not in EXPERIMENTS:
+        raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
+    return CLASS_LABELS[experiment]
 
 
 @dataclass(frozen=True)
@@ -61,8 +77,7 @@ class ExperimentConfig:
     imbalance_cap: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        _labels_of(self.experiment)
         for name, kinds in _FIELD_TYPES.items():
             value = getattr(self, name)
             if not isinstance(value, kinds):
@@ -96,41 +111,22 @@ class ExperimentConfig:
                     raise ValueError(f"{name} applies only to experiment mnist, "
                                      f"not {self.experiment}")
             return
-        if self.mnist_paths is None:
-            raise ValueError("mnist_paths is required when experiment=mnist")
-        missing = [k for k in _MNIST_PATH_KEYS if not isinstance(self.mnist_paths.get(k), str)]
+        paths = _known("mnist_paths", self.mnist_paths or {}, _MNIST_PATH_KEYS)
+        missing = [k for k in _MNIST_PATH_KEYS if not isinstance(paths.get(k), str)]
         if missing:
             raise ValueError(f"mnist_paths missing or non-string field(s): {', '.join(missing)}")
-        unknown = sorted(set(self.mnist_paths) - set(_MNIST_PATH_KEYS))
-        if unknown:
-            raise ValueError(f"unknown mnist_paths field(s): {', '.join(unknown)}")
         if self.mnist_per_class is None:
             object.__setattr__(self, "mnist_per_class", 500)
         check_count("mnist_per_class", self.mnist_per_class)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Build a config from parsed JSON; a null value means the default."""
-        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
-        if raw.get("experiment") is None:
-            raise ValueError("config field 'experiment' is required")
-        kwargs = dict(raw)
-        forest_raw = {} if raw.get("forest") is None else raw["forest"]
-        if not isinstance(forest_raw, dict):
-            raise ValueError(f"forest must be an object, got {forest_raw!r}")
-        unknown = sorted(set(forest_raw) - {f.name for f in fields(ForestConfig)})
-        if unknown:
-            raise ValueError(f"unknown forest field(s): {', '.join(unknown)}")
-        kwargs["forest"] = ForestConfig(**forest_raw)
-        return cls(**{k: v for k, v in kwargs.items() if v is not None})
-
-    def to_dict(self) -> dict:
-        """The fields in declaration order, as JSON values."""
-        out = asdict(self)
-        out["phi_grid"] = list(self.phi_grid)
-        return out
+        """Build a config from parsed JSON; a null value, in the config or in
+        its forest, means the default."""
+        kwargs = _known("config", raw, [f.name for f in fields(cls)])
+        forest_names = [f.name for f in fields(ForestConfig)]
+        kwargs["forest"] = ForestConfig(**_known("forest", kwargs.get("forest", {}), forest_names))
+        return cls(kwargs.pop("experiment", None), **kwargs)  # a missing experiment fails as None
 
 
 @dataclass(frozen=True)
@@ -141,10 +137,11 @@ class SweepRow:
     phi: float
     repetition: int
     metric: str
-    class_label: int | None  # display label (raw digit for mnist)
+    class_label: int | None  # one of CLASS_LABELS[experiment]
     value: float
 
     def __post_init__(self) -> None:
+        labels = _labels_of(self.experiment)
         check_range("phi", self.phi, 0, 1)
         check_count("repetition", self.repetition, minimum=0)
         if self.metric not in METRIC_NAMES:
@@ -152,17 +149,19 @@ class SweepRow:
         if (self.class_label is not None) != (self.metric == CLASS_COVERAGE):
             raise ValueError(f"a class is given iff the metric is {CLASS_COVERAGE}")
         if self.class_label is not None:
-            check_count("class", self.class_label, minimum=0)
+            if self.class_label not in labels:
+                raise ValueError(f"{self.experiment} has no class {self.class_label!r}, only {labels}")
+            check_count("class", self.class_label, minimum=0)  # 1.0 and True equal a label
         check_range("value", self.value, 0, 1)
 
 
 def prepare_mnist(paths: dict) -> tuple:
     """Load the IDX pairs as the raw pools (train pixels, train classes,
-    test pixels, test truth), pixels uint8. Training keeps the rows of
-    _MNIST_TRAIN_DIGITS as classes 1..6; a test row of any other label is an
-    outlier."""
+    test pixels, test truth), pixels uint8. Training keeps the rows of the
+    digits in CLASS_LABELS["mnist"] as classes 1..6; a test row of any other
+    label is an outlier."""
     digit_class = np.full(256, OUTLIER, dtype=np.int64)  # IDX labels are bytes
-    digit_class[list(_MNIST_TRAIN_DIGITS)] = np.arange(1, len(_MNIST_TRAIN_DIGITS) + 1)
+    digit_class[list(CLASS_LABELS["mnist"])] = np.arange(1, len(CLASS_LABELS["mnist"]) + 1)
 
     pixels, digits = load_mnist(paths["train_images"], paths["train_labels"])
     labels = digit_class[digits]
@@ -184,12 +183,12 @@ def check_inputs(config: ExperimentConfig):
     n_features = N_FEATURES
     if pools is not None:
         train_pixels, train_labels, test_pixels, _ = pools
-        counts = np.bincount(train_labels, minlength=len(_MNIST_TRAIN_DIGITS) + 1)[1:]
+        counts = np.bincount(train_labels, minlength=len(CLASS_LABELS["mnist"]) + 1)[1:]
         k = int(np.argmin(counts))
         if config.mnist_per_class > counts[k]:
             raise ValueError(
                 f"mnist_per_class={config.mnist_per_class} exceeds the {counts[k]} training rows "
-                f"of digit {_MNIST_TRAIN_DIGITS[k]}"
+                f"of digit {CLASS_LABELS['mnist'][k]}"
             )
         if test_pixels.shape[0] < 2:
             raise ValueError(
@@ -216,8 +215,8 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
     stream = RngStream(config.seed, phi_index * _STREAMS_PER_PHI + rep)
     data_rng, noise_rng, fit_rng = stream.derive(1), stream.derive(2), stream.derive(3)
 
-    class_count = CLASS_COUNTS[config.experiment]
-    display: dict = {}
+    label = dict(enumerate(CLASS_LABELS[config.experiment], 1))  # label.get(None) is None
+    class_count = len(label)
     if config.experiment == "example1":
         x, labels = gen_example1_train(data_rng.derive(1))
         test_x, truth = gen_example1_test(data_rng.derive(2))
@@ -227,20 +226,18 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
         pixels, pool_labels, test_x, truth = mnist_ctx
         rows = stratified_subsample(pool_labels, class_count, config.mnist_per_class, data_rng)
         x, labels = scale_pixels(pixels[rows]), pool_labels[rows]
-        display = dict(enumerate(_MNIST_TRAIN_DIGITS, 1))
 
     spec = CorruptionSpec(phi, class_count, config.inclusive_resampling)
     noisy = corrupt_labels(labels, spec, noise_rng)
     model = fit_bcops(x, noisy, class_count, test_x, config.forest, config.alpha, fit_rng,
                       imbalance_cap=config.imbalance_cap)
     for k, fold, m in model.warnings:
-        print(f"warning: phi={phi}, repetition={rep}: class {display.get(k, k)} has {m} calibration "
+        print(f"warning: phi={phi}, repetition={rep}: class {label[k]} has {m} calibration "
               f"rows for test fold {fold}: p-values there are at least 1/{m + 1} > alpha "
               f"{config.alpha}, so it is in every set", file=sys.stderr)
     sets = predict_all(model)
     return [
-        SweepRow(config.experiment, phi, rep, r.metric_name,
-                 display.get(r.class_label, r.class_label), r.value)
+        SweepRow(config.experiment, phi, rep, r.metric_name, label.get(r.class_label), r.value)
         for r in evaluate(sets, truth)
     ]
 
@@ -269,7 +266,7 @@ def run_sweep(config: ExperimentConfig) -> tuple:
 
 def run_metadata(config: ExperimentConfig) -> dict:
     return {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "rng": {"seed": config.seed, "cell_stream": STREAM_ID_FORMULA},
         "csv_header": ",".join(CSV_HEADER),
     }
@@ -296,20 +293,20 @@ def write_csv(rows, path) -> None:
 
 
 def read_csv(path) -> tuple:
-    """Rows of a sweep CSV. A row fails, naming the file and line, without six
-    fields, with a non-numeric field, with fields that SweepRow rejects, with
-    an experiment other than the first row's, or with the (phi, repetition,
-    metric, class) of an earlier row."""
+    """Rows of a sweep CSV. A row without six fields, with a non-numeric or
+    oversized field, with fields that SweepRow rejects, with an experiment other
+    than the first row's or with the key of an earlier row fails, naming the
+    file and line; a file that is not UTF-8 fails, naming the file."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected CSV header {header}")
-        rows = []
-        seen: dict = {}  # (phi, repetition, metric, class) -> line
-        for rec in reader:
-            try:
+        try:
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise ValueError(f"unexpected CSV header {header}")
+            rows = []
+            seen: dict = {}  # (phi, repetition, metric, class) -> line
+            for rec in reader:
                 if len(rec) != len(CSV_HEADER):
                     raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(rec)}")
                 exp, phi, rep, metric, cls, value = rec
@@ -328,10 +325,12 @@ def read_csv(path) -> tuple:
                 if key in seen:
                     raise ValueError(f"repeats the phi, repetition, metric and class of "
                                      f"line {seen[key]}")
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-            seen[key] = reader.line_num
-            rows.append(row)
+                seen[key] = reader.line_num
+                rows.append(row)
+        except (ValueError, csv.Error) as exc:
+            # a decode error comes from a block read ahead, not from the last line read
+            line = 0 if isinstance(exc, UnicodeDecodeError) else reader.line_num
+            raise ValueError(f"{path}{f', line {line}' if line else ''}: {exc}") from None
     return tuple(rows)
 
 

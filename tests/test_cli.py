@@ -212,6 +212,24 @@ def test_config_not_an_object(tmp_path, capsys):
     assert f"config file {path} must contain a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "plot"])
+def test_non_utf8_input_file_is_named(tmp_path, capsys, command):
+    # no UTF-8 text holds the byte 0xff
+    path = tmp_path / "input"
+    if command == "validate":
+        path.write_bytes(b'{"experiment": "example1\xff"}')
+        argv = ["validate", "--config", str(path)]
+    else:
+        path.write_bytes(b"experiment,phi,repetition,metric,class,value\n"
+                         b"example1,0.0000,0,mean_coverage,,0.9\xff\n")
+        argv = ["plot", "--csv", str(path), "--metric", "mean_coverage",
+                "--out", str(tmp_path / "plot.svg")]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "can't decode byte 0xff" in err
+    assert not (tmp_path / "plot.svg").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert cli_main(["validate", "--config", str(tmp_path / "absent.json")]) == 1
     assert "not found" in capsys.readouterr().err
@@ -330,6 +348,16 @@ def test_run_reps_override(tmp_path):
     assert json.loads((out / "run_metadata.json").read_text())["config"]["repetitions"] == 2
 
 
+def test_null_forest_fields_mean_their_defaults(tmp_path, capsys):
+    cfg = _write_config(tmp_path, phi_grid=[0.0], forest={"n_trees": None, "min_node_size": None})
+    assert cli_main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.endswith(", 1 cells x 4 forests x 100 trees\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    forest = json.loads((out / "run_metadata.json").read_text())["config"]["forest"]
+    assert forest == {"n_trees": 100, "mtry": None, "min_node_size": 5, "max_depth": None}
+
+
 def test_run_names_unwritable_output(tmp_path, capsys, monkeypatch):
     cells = []
     monkeypatch.setattr(bcops.sweep, "_run_cell", lambda *args: cells.append(args) or [])
@@ -418,6 +446,19 @@ def test_run_prints_fit_warnings(tmp_path, capsys):
     pairs = {re.fullmatch(pattern, line).groups() for line in lines[1:]}
     # classes are named by their sweep.csv labels, the digits 0-5
     assert pairs == {(str(c), t) for c in range(6) for t in "12"}
+
+
+def test_run_leaves_no_plot_of_an_earlier_run(tmp_path, capsys):
+    cfg = _one_row_per_class_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "abstention_rate.svg").exists()
+    # with no outliers among the test rows, the next run has no abstention rate to plot
+    _write_idx_pair(tmp_path, "test", [0, 1, 2, 3, 4, 5] * 2)
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "abstention_rate" not in (out / "sweep.csv").read_text()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "class_coverage.svg", "mean_coverage.svg", "run_metadata.json", "summary.csv", "sweep.csv"]
 
 
 def test_run_survives_a_class_emptied_by_noise(tmp_path, capsys, monkeypatch):
@@ -512,6 +553,8 @@ def test_plot_rejects_rows_of_several_experiments(tmp_path, capsys):
 @pytest.mark.parametrize("line,message", [
     ("", "expected 6 fields, got 0"),
     ("example1,abc,0,abstention_rate,,0.500000", "could not convert string to float: 'abc'"),
+    pytest.param("example1," + "x" * 200_000 + ",0,abstention_rate,,0.500000",
+                 "field larger than field limit (131072)", id="200000-character field"),
 ])
 def test_plot_names_line_of_malformed_row(tmp_path, capsys, line, message):
     csv_path = tmp_path / "sweep.csv"
@@ -817,7 +860,7 @@ def _load_tracing(repo):
     return module
 
 
-@pytest.mark.parametrize("experiment", ["example1", "mnist", "mnist-emptied-class"])
+@pytest.mark.parametrize("experiment", ["example1", "example2", "mnist", "mnist-emptied-class"])
 def test_benchmark_tracer_binds(tmp_path, experiment):
     # The traced benchmark run wraps names in bcops.cli, bcops.sweep and
     # bcops.conformal; a renamed or moved one would leave its time outside
@@ -825,6 +868,8 @@ def test_benchmark_tracer_binds(tmp_path, experiment):
     # no model on either fold, so the recount covers p-value 1 too.
     repo = Path(__file__).resolve().parents[1]
     overrides = {"phi_grid": [0.0], "forest": {"n_trees": 2, "min_node_size": 5, "max_depth": 4}}
+    if experiment == "example2":
+        overrides.update(experiment="example2")
     if experiment == "mnist":
         files = {**_write_idx_pair(tmp_path, "train", [0, 1, 2, 3, 4, 5] * 6),
                  **_write_idx_pair(tmp_path, "test", list(range(10)) * 2)}

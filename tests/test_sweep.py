@@ -1,3 +1,4 @@
+import json
 import re
 import statistics
 import tempfile
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from bcops.metrics import ABSTENTION_RATE, CLASS_COVERAGE, MEAN_COVERAGE, METRIC_NAMES
 from bcops.sweep import (
+    CLASS_LABELS,
     EXPERIMENTS,
     ExperimentConfig,
     SweepRow,
     aggregate_result,
     read_csv,
+    run_metadata,
     run_sweep,
     write_csv,
     write_summary_csv,
@@ -174,9 +177,9 @@ class TestConfig:
                     {"experiment": "mnist", "mnist_paths": paths, "mnist_per_class": bad}
                 )
 
-    def test_to_dict_lists_fields_in_order(self):
+    def test_metadata_config_lists_fields_in_order(self):
         cfg = _tiny_config(phi_grid=[0.0, 0.5], imbalance_cap=2.0)
-        out = cfg.to_dict()
+        out = json.loads(json.dumps(run_metadata(cfg)["config"]))
         assert list(out) == [
             "experiment", "alpha", "phi_grid", "repetitions", "forest", "seed", "mnist_paths",
             "mnist_per_class", "inclusive_resampling", "output_dir", "imbalance_cap",
@@ -271,7 +274,10 @@ class TestCsv:
                      id="example1,0.1000,0,abstention_rate,,nan-outside"),
         ("example1,0.1000,0,mean_coverage,2,0.500000", "class is given iff"),
         ("example1,0.1000,0,class_coverage,,0.500000", "class is given iff"),
-        ("example1,0.1000,0,class_coverage,-1,0.500000", "class must be >= 0"),
+        ("example1,0.1000,0,class_coverage,-1,0.500000", r"example1 has no class -1, only \(1, 2\)"),
+        ("example1,0.1000,0,class_coverage,3,0.500000", r"example1 has no class 3, only \(1, 2\)"),
+        ("not-an-experiment,0.1000,0,mean_coverage,,0.500000",
+         "experiment must be one of .* got 'not-an-experiment'"),
         ("", "expected 6 fields, got 0"),
         ("example1,0.1000,0,mean_coverage,0.500000", "expected 6 fields, got 5"),
         ("example1,0.1000,0,mean_coverage,,0.5,1", "expected 6 fields, got 7"),
@@ -311,7 +317,8 @@ def _sweep_rows(draw, experiment):
         phi=draw(st.sampled_from([0.0, 0.05, 1.0]) | st.floats(0.0, 1.0)),
         repetition=draw(st.integers(0, 10**6 - 1)),
         metric=metric,
-        class_label=draw(st.integers(0, 3)) if metric == CLASS_COVERAGE else None,
+        class_label=(draw(st.sampled_from(CLASS_LABELS[experiment]))
+                     if metric == CLASS_COVERAGE else None),
         value=draw(st.floats(0.0, 1.0)),
     )
 
