@@ -25,7 +25,7 @@ from .metrics import (
     evaluate,
 )
 from .datagen import gen_example1_test, gen_example1_train, gen_example2
-from .mnist import IdxFormatError, load_mnist, scale_pixels
+from .mnist import IdxFormatError, load_mnist
 from .sweep import ExperimentConfig, SweepRow, read_csv, run_sweep, write_csv
 from .svgplot import render_lineplot
 

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,12 +41,20 @@ from .sweep import (
 
 
 def _load_config(path: str) -> ExperimentConfig:
+    repeated = []  # keys that one object of the file, nested ones too, holds twice
+
+    def unique(pairs) -> dict:
+        repeated.extend(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        return dict(pairs)
+
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}")
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"config file {path} is not valid JSON: {exc}")
+    if repeated:
+        raise ValueError(f"config file {path} repeats key(s) within an object: {', '.join(repeated)}")
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path} must contain a JSON object")
     return ExperimentConfig.from_dict(raw)
@@ -116,7 +125,8 @@ def _cmd_validate(args) -> int:
         detail = f"phi levels={len(config.phi_grid)}, repetitions={config.repetitions}"
     else:
         _, train_labels, _, truth = pools
-        detail = f"train rows={train_labels.size} (digits 0-5), test rows={truth.size}"
+        first, *_, last = CLASS_LABELS["mnist"]
+        detail = f"train rows={train_labels.size} (digits {first}-{last}), test rows={truth.size}"
     # a cell grows two forests per class, one per fold
     size = (f"{len(config.phi_grid) * config.repetitions} cells x "
             f"{2 * len(CLASS_LABELS[config.experiment])} forests x {config.forest.n_trees} trees")

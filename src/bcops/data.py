@@ -1,7 +1,8 @@
 """Deterministic RNG streams, the checks of each input where it enters the
 library, and row-splitting helpers.
 
-Inputs are plain arrays: a feature matrix, and labels as integers 1..K
+Inputs are plain arrays: a feature matrix, used as it is when it holds
+integers or bools and as float64 otherwise, and labels as integers 1..K
 everywhere inside the library. MNIST digits are mapped to classes on
 ingestion by the fixed table of ``sweep.prepare_mnist``. Ground-truth
 outliers are marked with ``OUTLIER`` (0), which is never a valid class
@@ -95,15 +96,19 @@ def check_labels(name: str, labels, low: int, high: int, rows=None) -> np.ndarra
     return out
 
 
-def _check_features(features, name: str = "features") -> np.ndarray:
-    """``features`` as a float64 matrix, not copied when it already is one.
-    Fail, naming ``name``, unless it is 2-D with finite entries only."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D matrix, got ndim={features.ndim}")
-    if not np.all(np.isfinite(features)):
+def _check_features(features, name: str = "features", finite: bool = True) -> np.ndarray:
+    """``features`` as a 2-D matrix, failing with ``name`` otherwise. An
+    integer or bool matrix is kept as it is, with no copy, since it holds no
+    NaN or inf; anything else becomes float64, not copied when it already
+    is, and must be finite when ``finite`` is set."""
+    matrix = np.asarray(features)
+    if matrix.dtype.kind not in "biu":
+        matrix = np.asarray(features, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D matrix, got ndim={matrix.ndim}")
+    if finite and matrix.dtype.kind == "f" and not np.all(np.isfinite(matrix)):
         raise ValueError(f"{name} contain NaN or infinite entries")
-    return features
+    return matrix
 
 
 def split_in_two(n: int, rng: RngStream) -> np.ndarray:

@@ -3,7 +3,9 @@
 CART trees grown on bootstrap resamples, best-of-mtry Gini splits, leaf
 probability = raw fraction of target-1 rows in the leaf (no smoothing; only
 the score ordering matters downstream). A tree holds each of its bootstrap
-rows once, with the number of times it was drawn.
+rows once, with the number of times it was drawn. Integer features are
+scored as they are, against midpoints in their units; a value equal to a
+threshold goes right.
 
 All trees of a forest grow together, one depth level at a time, in the
 manner of the exact greedy search over presorted columns of XGBoost (Chen &
@@ -235,7 +237,7 @@ def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
     mtry = config.mtry if config.mtry is not None else max(1, int(np.sqrt(p)))
     check_range("mtry", mtry, 1, p)
 
-    xt = np.ascontiguousarray(x.T)
+    xt = np.ascontiguousarray(x.T, dtype=np.float64)
     yf = y.astype(np.float64)
     rank = np.empty((p, n), dtype=np.int32)
     np.put_along_axis(rank, xt.argsort(axis=1), np.arange(n)[None, :], axis=1)
@@ -322,8 +324,8 @@ def train_forest(data: BinaryTrainingSet, config: ForestConfig) -> ForestModel:
 def predict_probability_batch(model: ForestModel, x) -> np.ndarray:
     """Mean per-tree leaf probability for each row of x, walking each tree
     level by level from the root for its ``levels`` levels."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.n_features:
+    x = _check_features(x, "x", finite=False)
+    if x.shape[1] != model.n_features:
         raise ValueError(f"expected shape (n, {model.n_features})")
     n, p = x.shape
     flat = x.ravel()

@@ -5,9 +5,9 @@ dimensions, one big-endian 32-bit size per dimension, then the payload.
 Images carry magic 0x00000803 (count, 28 rows, 28 columns of unsigned pixel
 bytes, row-major) and labels 0x00000801 (count unsigned label bytes). Files
 may be raw or gzip-compressed (detected by the 0x1f8b prefix). Both arrays
-stay read-only uint8 views of their file's payload: ``scale_pixels`` is the
-one rule that maps the pixels a caller has chosen to [0, 1], and the mnist
-experiment maps raw digits (0..9) to classes (``sweep.prepare_mnist``).
+stay read-only uint8 views of their file's payload, and the forest fits and
+scores the pixels as they are; the mnist experiment maps raw digits (0..9)
+to classes (``sweep.prepare_mnist``).
 """
 
 from __future__ import annotations
@@ -88,9 +88,3 @@ def load_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
             f"vs {labels.shape[0]} labels in {labels_path}"
         )
     return images.reshape(-1, IMAGE_ROWS * IMAGE_COLS), labels
-
-
-def scale_pixels(pixels: np.ndarray) -> np.ndarray:
-    """uint8 pixels as float64 in [0, 1]: bit for bit ``astype(np.float64) /
-    255.0``, in one pass."""
-    return np.true_divide(pixels, 255.0, dtype=np.float64)

@@ -21,7 +21,7 @@ from .data import OUTLIER, RngStream, check_count, check_range, stratified_subsa
 from .datagen import N_FEATURES, ROWS_PER_CLASS, gen_example1_test, gen_example1_train, gen_example2
 from .forest import ForestConfig
 from .metrics import CLASS_COVERAGE, METRIC_NAMES, SummaryRow, class_order, evaluate
-from .mnist import load_mnist, scale_pixels
+from .mnist import load_mnist
 from .noise import CorruptionSpec, corrupt_labels
 
 # The labels of classes 1..K in sweep.csv and the warnings. mnist's classes are
@@ -225,7 +225,7 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
     else:
         pixels, pool_labels, test_x, truth = mnist_ctx
         rows = stratified_subsample(pool_labels, class_count, config.mnist_per_class, data_rng)
-        x, labels = scale_pixels(pixels[rows]), pool_labels[rows]
+        x, labels = pixels[rows], pool_labels[rows]
 
     spec = CorruptionSpec(phi, class_count, config.inclusive_resampling)
     noisy = corrupt_labels(labels, spec, noise_rng)
@@ -244,13 +244,8 @@ def _run_cell(config: ExperimentConfig, mnist_ctx, phi_index: int, rep: int):
 
 def run_sweep(config: ExperimentConfig) -> tuple:
     """Run every (phi, repetition) cell in order; fully deterministic given config."""
+    # the mnist cells share the uint8 test pixels, a view of their file's payload
     mnist_ctx = check_inputs(config)
-    if mnist_ctx is not None:
-        # The cells share one float test set; the uint8 test pixels, and the
-        # file payload they view, are dropped before cell 1.
-        train_pixels, train_labels, test_pixels, truth = mnist_ctx
-        mnist_ctx = train_pixels, train_labels, scale_pixels(test_pixels), truth
-        del test_pixels
     rows = []
     for i, phi in enumerate(config.phi_grid):
         for r in range(config.repetitions):
@@ -310,14 +305,8 @@ def read_csv(path) -> tuple:
                 if len(rec) != len(CSV_HEADER):
                     raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(rec)}")
                 exp, phi, rep, metric, cls, value = rec
-                row = SweepRow(
-                    experiment=exp,
-                    phi=float(phi),
-                    repetition=int(rep),
-                    metric=metric,
-                    class_label=None if cls == "" else int(cls),
-                    value=float(value),
-                )
+                row = SweepRow(exp, float(phi), int(rep), metric,
+                               None if cls == "" else int(cls), float(value))
                 if rows and row.experiment != rows[0].experiment:
                     raise ValueError(f"experiment {exp!r} differs from {rows[0].experiment!r} "
                                      f"of the first row")

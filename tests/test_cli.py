@@ -68,10 +68,12 @@ def test_validate_mnist_dry_run(tmp_path, capsys):
         files[f"{role}_labels"] = str(lab)
     cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=1)
     assert cli_main(["validate", "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("config ok: experiment=mnist, ")
-    # 6 training digits, so 12 forests a cell
-    assert out.endswith(", test rows=20, 2 cells x 12 forests x 4 trees\n")
+    # 21 of the 40 drawn training digits are 0-5, the digits of the 6
+    # classes, so 12 forests a cell
+    assert capsys.readouterr().out == (
+        "config ok: experiment=mnist, train rows=21 (digits 0-5), test rows=20, "
+        "2 cells x 12 forests x 4 trees\n"
+    )
     # mtry is checked against the parsed image width, 784
     cfg = _write_config(tmp_path, experiment="mnist", mnist_paths=files, mnist_per_class=1,
                         forest={"mtry": 785})
@@ -203,6 +205,20 @@ def test_bad_json_diagnostic(tmp_path, capsys):
     cfg.write_text("{nope")
     assert cli_main(["validate", "--config", str(cfg)]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"experiment": "example1", "alpha": 0.5, "alpha": 0.05}', "alpha"),
+    ('{"experiment": "example1", "forest": {"n_trees": 3, "n_trees": 1}}', "n_trees"),
+], ids=["top level", "forest"])
+def test_repeated_config_key_fails_at_load(tmp_path, capsys, text, key):
+    # json.loads alone keeps the last value of a repeated key without a word
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert cli_main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config file {path} repeats key(s) within an object: {key}\n"
 
 
 def test_config_not_an_object(tmp_path, capsys):

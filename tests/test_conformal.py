@@ -234,6 +234,27 @@ def test_non_finite_entry_fails_before_growth(in_test, row, col, value):
             fit_bcops(x, labels, 2, test_x, SMALL_FOREST, 0.05, RngStream(0), imbalance_cap=1e-6)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_integer_test_matrix_is_kept_without_a_copy(value):
+    # Pixels are used as they are: no float copy and no finiteness scan. A
+    # float matrix is still scanned, whichever input holds it.
+    g = np.random.default_rng(5)
+    x = g.integers(0, 256, size=(40, 3), dtype=np.uint8)
+    labels = np.repeat([1, 2], 20)
+    test_x = g.integers(0, 256, size=(30, 3), dtype=np.uint8)
+    model = fit_bcops(x, labels, 2, test_x, ForestConfig(n_trees=2), 0.05, RngStream(0))
+    assert model.test_features.dtype == np.uint8 and np.shares_memory(model.test_features, test_x)
+    assert predict_all(model).shape == (30, 2)
+    for name in ("features", "test_features"):
+        inputs = {"features": x, "test_features": test_x}
+        inputs[name] = inputs[name].astype(np.float64)
+        inputs[name][1, 2] = value
+        with mock.patch.object(conformal_mod, "train_forest", _no_growth):
+            with pytest.raises(ValueError, match=f"^{name} contain NaN or infinite entries"):
+                fit_bcops(inputs["features"], labels, 2, inputs["test_features"], SMALL_FOREST,
+                          0.05, RngStream(0))
+
+
 @pytest.fixture(scope="module")
 def fitted_model():
     return fit_bcops(*_two_blob_data(), 2, _matching_test(), SMALL_FOREST, 0.05, RngStream(7))

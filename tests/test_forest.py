@@ -330,6 +330,57 @@ class TestPredict:
             predict_probability_batch(model, np.zeros(1))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(2, 40),
+    cols=st.integers(1, 4),
+    few_values=st.booleans(),
+    min_node_size=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_integer_features_grow_and_score_as_their_float64_copy(rows, cols, few_values, min_node_size,
+                                                               seed):
+    # A uint8 matrix is used as it is. Growth ranks a float64 copy of its
+    # transpose, and the walk compares the integers with float thresholds as
+    # numpy promotes them, so trees and scores match the float64 copy's bit
+    # for bit, including the rows that sit exactly on a threshold.
+    g = np.random.default_rng(seed)
+    x = g.integers(0, 256, size=(rows, cols), dtype=np.uint8)
+    if few_values:
+        x = x // 64 * 2  # 0, 2, 4 and 6, so midpoints are pixels too
+    y = g.integers(0, 2, size=rows)
+    if y.min() == y.max():
+        y[0] = 1 - y[0]
+    config = ForestConfig(n_trees=4, mtry=min(2, cols), min_node_size=min_node_size)
+    as_int = BinaryTrainingSet(x, y, RngStream(seed))
+    assert as_int.features is x
+    model = train_forest(as_int, config)
+    reference = train_forest(BinaryTrainingSet(x.astype(np.float64), y, RngStream(seed)), config)
+    for tree, ref in zip(model.trees, reference.trees):
+        assert tree.levels == ref.levels
+        for name in ("feature", "threshold", "right", "prob"):
+            assert np.array_equal(getattr(tree, name), getattr(ref, name), equal_nan=True), name
+    x_new = np.vstack([x, g.integers(0, 256, size=(30, cols), dtype=np.uint8), x + 1])
+    for m in (model, reference):
+        scores = predict_probability_batch(m, x_new)
+        assert scores.tobytes() == predict_probability_batch(m, x_new.astype(np.float64)).tobytes()
+
+
+@pytest.mark.parametrize("a", [0, 33, 100, 253])
+def test_pixel_on_a_threshold_goes_right(a):
+    # Training pixels a (target 0) and a + 2 (target 1) split at the
+    # threshold a + 1, and a test pixel a + 1 goes right, since v < t is
+    # false. Pixels scaled by 1/255 went to the side that the rounding of
+    # three divisions chose: left for a = 33 and a = 100.
+    x = np.array([[a], [a + 2]] * 10, dtype=np.uint8)
+    model = train_forest(BinaryTrainingSet(x, [0, 1] * 10, RngStream(4)),
+                         ForestConfig(n_trees=3, min_node_size=1))
+    for tree in model.trees:
+        assert tree.levels == 1 and tree.threshold[0] == a + 1
+    test = np.array([[a], [a + 1], [a + 2]], dtype=np.uint8)
+    assert predict_probability_batch(model, test).tolist() == [0.0, 1.0, 1.0]
+
+
 def _reference_split(values, targets):
     """The split search as a loop over columns, each sorted on its own."""
     n, m = values.shape

@@ -4,9 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from bcops.data import OUTLIER
 from bcops.mnist import (
@@ -15,7 +12,6 @@ from bcops.mnist import (
     IdxFormatError,
     load_mnist,
     parse_idx,
-    scale_pixels,
     serialize_idx_images,
     serialize_idx_labels,
 )
@@ -39,10 +35,8 @@ def test_round_trip(sample_pair):
     images, digits, img_path, lab_path = sample_pair
     pixels, loaded = load_mnist(img_path, lab_path)
     assert pixels.dtype == np.uint8 and np.array_equal(pixels, images)
-    features = scale_pixels(pixels)
-    assert features.shape == (30, 784)
+    assert pixels.shape == (30, 784)
     assert np.array_equal(loaded, digits)
-    assert np.allclose(features * 255.0, images)
 
 
 def test_load_mnist_returns_read_only_uint8_views(sample_pair):
@@ -55,26 +49,6 @@ def test_load_mnist_returns_read_only_uint8_views(sample_pair):
         while isinstance(base, np.ndarray):
             base = base.base
         assert isinstance(base, bytes)
-
-
-def test_pixels_scaled_to_unit_interval(sample_pair):
-    _, _, img_path, lab_path = sample_pair
-    features = scale_pixels(load_mnist(img_path, lab_path)[0])
-    assert features.min() >= 0.0 and features.max() <= 1.0
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_scaling_chosen_rows_matches_scaling_all(data):
-    # scaling is elementwise, so picking rows before or after it gives the
-    # same bits, and both match the division of the float64 copy
-    shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12))
-    pixels = data.draw(hnp.arrays(np.uint8, shape))
-    keep = np.array(data.draw(st.lists(st.integers(0, shape[0] - 1), max_size=20)), dtype=np.int64)
-    expected = pixels.astype(np.float64)[keep] / 255.0
-    for got in (scale_pixels(pixels)[keep], scale_pixels(pixels[keep])):
-        assert got.dtype == np.float64 and got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
 
 
 def test_gzip_detection(sample_pair, tmp_path):
@@ -250,7 +224,10 @@ def test_desk_scale_cell_peak_stays_near_the_test_matrix(tmp_path):
         experiment="mnist", mnist_paths=paths, mnist_per_class=500,
         phi_grid=(0.0,), repetitions=1, forest=ForestConfig(n_trees=2, min_node_size=25, max_depth=12),
     )
-    test_matrix = 10_000 * 784 * 8  # the scaled test set every cell scores
+    # The cell scores the uint8 test pixels as they are, so its peak is set by
+    # the 28 MB uint8 copy of the training digits' rows, about 1.34 times a
+    # float64 copy of the test set. Such a copy on top would pass 2 times.
+    test_matrix = 10_000 * 784 * 8  # the bytes of a float64 copy of the test set
     tracemalloc.start()
     try:
         rows = run_sweep(config)
@@ -258,4 +235,4 @@ def test_desk_scale_cell_peak_stays_near_the_test_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert {r.phi for r in rows} == {0.0}
-    assert peak <= 2.6 * test_matrix, f"one cell peaked at {peak / test_matrix:.2f} x the test matrix"
+    assert peak <= 1.5 * test_matrix, f"one cell peaked at {peak / test_matrix:.2f} x the test matrix"
