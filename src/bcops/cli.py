@@ -47,11 +47,19 @@ def _load_config(path: str) -> ExperimentConfig:
         repeated.extend(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
         return dict(pairs)
 
+    def integer(literal: str) -> int:
+        try:
+            return int(literal)
+        except ValueError:  # more digits than Python converts to an int
+            raise ValueError(f"config file {path} holds an integer of "
+                             f"{len(literal.lstrip('-'))} digits, too long to read") from None
+
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique,
+                         parse_int=integer)
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}")
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}")
     if repeated:
         raise ValueError(f"config file {path} repeats key(s) within an object: {', '.join(repeated)}")
@@ -134,7 +142,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def cli_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bcops",
         description="Conformal prediction sets with abstention under label noise",
@@ -162,11 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--config", required=True, help="JSON config file")
     p_val.set_defaults(func=_cmd_validate)
 
-    return parser
-
-
-def cli_main(argv=None) -> int:
-    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -39,7 +39,7 @@ from .data import _GOLDEN, RngStream, _check_features, _splitmix64, check_count,
 class BinaryTrainingSet:
     features: np.ndarray
     targets: np.ndarray
-    stream: RngStream = RngStream(0, 0)  # tree t bootstraps from stream.derive(t)
+    stream: RngStream  # tree t bootstraps from stream.derive(t)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", _check_features(self.features))

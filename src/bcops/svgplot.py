@@ -48,7 +48,7 @@ def _line(x1, y1, x2, y2, stroke: str, width, attrs: str = "") -> str:
     )
 
 
-def render_lineplot(summary_rows, metric: str, path, alpha: float = 0.05) -> None:
+def render_lineplot(summary_rows, metric: str, path, alpha: float) -> None:
     """Write one SVG chart of the selected metric against the noise level.
 
     class_coverage gets one polyline per class; the other metrics get a

@@ -28,9 +28,7 @@ from .noise import CorruptionSpec, corrupt_labels
 # these digits, and a test row of any other digit is an outlier.
 CLASS_LABELS = {"example1": (1, 2), "example2": tuple(range(1, N_FEATURES + 1)),
                 "mnist": (0, 1, 2, 3, 4, 5)}
-EXPERIMENTS = tuple(CLASS_LABELS)
 _STREAMS_PER_PHI = 10**6
-STREAM_ID_FORMULA = "stream_id = phi_index * 10**6 + repetition"
 CSV_HEADER = ["experiment", "phi", "repetition", "metric", "class", "value"]
 
 _DEFAULT_PHI_GRID = tuple(round(0.05 * i, 2) for i in range(21))
@@ -57,8 +55,8 @@ def _known(what: str, raw, names) -> dict:
 
 def _labels_of(experiment) -> tuple:
     """The class labels of an experiment; an unknown experiment fails."""
-    if experiment not in EXPERIMENTS:
-        raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
+    if experiment not in tuple(CLASS_LABELS):  # `in` on the dict would hash a JSON list
+        raise ValueError(f"experiment must be one of {tuple(CLASS_LABELS)}, got {experiment!r}")
     return CLASS_LABELS[experiment]
 
 
@@ -262,7 +260,7 @@ def run_sweep(config: ExperimentConfig) -> tuple:
 def run_metadata(config: ExperimentConfig) -> dict:
     return {
         "config": asdict(config),
-        "rng": {"seed": config.seed, "cell_stream": STREAM_ID_FORMULA},
+        "rng": {"seed": config.seed, "cell_stream": "stream_id = phi_index * 10**6 + repetition"},
         "csv_header": ",".join(CSV_HEADER),
     }
 

@@ -221,6 +221,25 @@ def test_repeated_config_key_fails_at_load(tmp_path, capsys, text, key):
     assert captured.err == f"error: config file {path} repeats key(s) within an object: {key}\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("overrides,literal", [
+    ({"seed": "HUGE"}, "9" * 5000),
+    ({"forest": {"n_trees": "HUGE"}}, "-" + "1" * 5000),
+], ids=["seed", "forest.n_trees"])
+def test_huge_integer_fails_at_load_naming_the_file(tmp_path, capsys, command, overrides, literal):
+    # valid JSON, but longer than Python reads as an int (json.dumps cannot write it either)
+    path = _write_config(tmp_path, **overrides)
+    path.write_text(path.read_text().replace('"HUGE"', literal))
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: config file {path} holds an integer of 5000 digits, too long to read\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_not_an_object(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text("[1, 2]")

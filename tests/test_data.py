@@ -143,7 +143,8 @@ class TestContainers:
 # number in a range or a feature matrix.
 @pytest.mark.parametrize("call,message", [
     (lambda: _fit(np.zeros((2, 2)), [1.9, 2.2]), "labels must be whole numbers"),
-    (lambda: BinaryTrainingSet(np.zeros((3, 1)), [0.5, 1, 0]), "targets must be whole numbers"),
+    (lambda: BinaryTrainingSet(np.zeros((3, 1)), [0.5, 1, 0], RngStream(0)),
+     "targets must be whole numbers"),
     (lambda: corrupt_labels([1.7, 2.2], CorruptionSpec(0.0, 2), RngStream(0)),
      "labels must be whole numbers"),
     (lambda: evaluate(np.ones((2, 3), dtype=bool), [1.5, 2.9]), "truth classes.*whole numbers"),
@@ -155,10 +156,10 @@ class TestContainers:
     (lambda: stratified_subsample(np.array([1, 2]), 2, -1, RngStream(0)), "per_class must be >= 0"),
     (lambda: evaluate(np.ones((2, 3), dtype=bool), [0, -1]), r"truth classes.*must lie in 0\.\.3"),
     (lambda: _fit(np.zeros((2, 2)), [1, 2], test_features=np.zeros(4)), "test_features must be a 2-D"),
-    (lambda: BinaryTrainingSet(np.zeros((3, 1)), [0, 1]), "targets must be a 1-D array of 3"),
-    (lambda: BinaryTrainingSet(np.zeros((2, 1)), [0, 2]), r"targets must lie in 0\.\.1"),
-    (lambda: BinaryTrainingSet(np.full((2, 1), np.nan), [0, 1]), "NaN"),
-    (lambda: BinaryTrainingSet(np.zeros(2), [0, 1]), "2-D"),
+    (lambda: BinaryTrainingSet(np.zeros((3, 1)), [0, 1], RngStream(0)), "targets must be a 1-D array of 3"),
+    (lambda: BinaryTrainingSet(np.zeros((2, 1)), [0, 2], RngStream(0)), r"targets must lie in 0\.\.1"),
+    (lambda: BinaryTrainingSet(np.full((2, 1), np.nan), [0, 1], RngStream(0)), "NaN"),
+    (lambda: BinaryTrainingSet(np.zeros(2), [0, 1], RngStream(0)), "2-D"),
     (lambda: RngStream(1.5), "seed must be an integer"),
     (lambda: RngStream(True), "seed must be an integer"),
     (lambda: RngStream(0, -1), "stream_id must be >= 0"),
@@ -179,7 +180,7 @@ def test_boundary_rejects(call, message):
 
 def test_whole_number_floats_accepted_as_labels():
     x = np.zeros((2, 1))
-    assert BinaryTrainingSet(x, [1.0, 0.0]).targets.dtype == np.int8
+    assert BinaryTrainingSet(x, [1.0, 0.0], RngStream(0)).targets.dtype == np.int8
     x, labels = _dataset(4, 2)
     floats = _fit(x, labels.astype(np.float64), test_features=x)
     ints = _fit(x, labels, test_features=x)

@@ -208,7 +208,7 @@ class TestTrainForest:
     def test_degenerate_targets_error(self):
         with pytest.raises(ValueError, match="degenerate binary training set"):
             train_forest(
-                BinaryTrainingSet(np.zeros((4, 2)), [1, 1, 1, 1]),
+                BinaryTrainingSet(np.zeros((4, 2)), [1, 1, 1, 1], RngStream(0)),
                 ForestConfig(n_trees=2),
             )
 

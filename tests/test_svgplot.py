@@ -22,7 +22,7 @@ def _parse(path):
 
 def test_output_is_wellformed_xml_with_declaration(tmp_path):
     path = tmp_path / "plot.svg"
-    render_lineplot(_coverage_rows(), CLASS_COVERAGE, path)
+    render_lineplot(_coverage_rows(), CLASS_COVERAGE, path, alpha=0.05)
     text = path.read_text()
     assert text.startswith("<?xml")
     root = _parse(path)
@@ -49,7 +49,7 @@ def test_constant_metric_draws_horizontal_polyline(tmp_path):
         SummaryRow(phi=p, metric_name=ABSTENTION_RATE, class_label=None, mean=0.95, sd=0.0, n_reps=2)
         for p in (0.0, 0.25, 0.5, 0.75, 1.0)
     ]
-    render_lineplot(rows, ABSTENTION_RATE, path)
+    render_lineplot(rows, ABSTENTION_RATE, path, alpha=0.05)
     root = _parse(path)
     (polyline,) = root.findall(f".//{SVG_NS}polyline")
     ys = {pt.split(",")[1] for pt in polyline.get("points").split()}
@@ -62,14 +62,14 @@ def test_abstention_plot_has_no_reference_line(tmp_path):
         SummaryRow(phi=p, metric_name=ABSTENTION_RATE, class_label=None, mean=0.5, sd=0.0, n_reps=2)
         for p in (0.0, 1.0)
     ]
-    render_lineplot(rows, ABSTENTION_RATE, path)
+    render_lineplot(rows, ABSTENTION_RATE, path, alpha=0.05)
     root = _parse(path)
     assert not [el for el in root.findall(f".//{SVG_NS}line") if el.get("stroke-dasharray")]
 
 
 def test_tick_labels_every_tenth(tmp_path):
     path = tmp_path / "plot.svg"
-    render_lineplot(_coverage_rows(), CLASS_COVERAGE, path)
+    render_lineplot(_coverage_rows(), CLASS_COVERAGE, path, alpha=0.05)
     texts = {el.text for el in _parse(path).findall(f".//{SVG_NS}text")}
     for i in range(11):
         assert f"{i / 10:.1f}" in texts
@@ -78,7 +78,7 @@ def test_tick_labels_every_tenth(tmp_path):
 def test_legend_names_classes(tmp_path):
     # the legend names each class by the label its rows carry, in class order
     path = tmp_path / "plot.svg"
-    render_lineplot(_coverage_rows(classes=(2, 1)), CLASS_COVERAGE, path)
+    render_lineplot(_coverage_rows(classes=(2, 1)), CLASS_COVERAGE, path, alpha=0.05)
     texts = [el.text for el in _parse(path).findall(f".//{SVG_NS}text")]
     legend = [t for t in texts if t.startswith("class ")]
     assert legend == ["class 1", "class 2"]
@@ -90,10 +90,10 @@ def test_mean_coverage_single_polyline(tmp_path):
         SummaryRow(phi=p, metric_name=MEAN_COVERAGE, class_label=None, mean=0.9, sd=0.0, n_reps=2)
         for p in (0.0, 0.5)
     ]
-    render_lineplot(rows, MEAN_COVERAGE, path)
+    render_lineplot(rows, MEAN_COVERAGE, path, alpha=0.05)
     assert len(_parse(path).findall(f".//{SVG_NS}polyline")) == 1
 
 
 def test_no_rows_error(tmp_path):
     with pytest.raises(ValueError, match="no summary rows"):
-        render_lineplot(_coverage_rows(), ABSTENTION_RATE, tmp_path / "x.svg")
+        render_lineplot(_coverage_rows(), ABSTENTION_RATE, tmp_path / "x.svg", alpha=0.05)

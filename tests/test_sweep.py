@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bcops.metrics import ABSTENTION_RATE, CLASS_COVERAGE, MEAN_COVERAGE, METRIC_NAMES
 from bcops.sweep import (
     CLASS_LABELS,
-    EXPERIMENTS,
     ExperimentConfig,
     SweepRow,
     aggregate_result,
@@ -325,7 +324,7 @@ def _sweep_rows(draw, experiment):
 
 # rows of one experiment whose keys stay distinct once phi is printed at 4
 # decimals, as read_csv requires
-_one_experiment_rows = st.sampled_from(EXPERIMENTS).flatmap(lambda experiment: st.lists(
+_one_experiment_rows = st.sampled_from(tuple(CLASS_LABELS)).flatmap(lambda experiment: st.lists(
     _sweep_rows(experiment), min_size=1, max_size=30,
     unique_by=lambda r: (f"{r.phi:.4f}", r.repetition, r.metric, r.class_label),
 ))
