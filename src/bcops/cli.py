@@ -1,11 +1,12 @@
 """Command-line entry points: run sweeps, plot CSV results, validate configs.
 
-Config files are JSON with the ExperimentConfig field names. Flag overrides
-win over the file. ``validate`` loads the config and makes the checks of
-``sweep.check_inputs``, then prints the run's size: cells x forests per
-cell x trees per forest. Before its first cell, ``run`` creates its output
-directory, checks that it can write a file there and that each of its output
-names there is free or a writable regular file, and makes the same checks.
+Config files are JSON with the ExperimentConfig field names. Only --out
+overrides a field of the file (output_dir). ``validate`` loads the config
+and makes the checks of ``sweep.check_inputs``, then prints the run's size:
+cells x forests per cell x trees per forest. Before its first cell, ``run``
+creates its output directory, checks that it can write a file there and that
+each of its output names there is free or a writable regular file, and makes
+the same checks. ``plot`` needs the run's alpha, which sweep.csv lacks.
 Sweep cells run in order on one thread; --threads is accepted and ignored.
 Each fit warning of a cell goes to stderr with the cell's phi and repetition.
 ``run`` first raises glibc's heap thresholds, so that the arrays that forest
@@ -22,7 +23,6 @@ import os
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 from .metrics import METRIC_NAMES
@@ -86,10 +86,6 @@ def _keep_freed_heap() -> None:
 def _cmd_run(args) -> int:
     _keep_freed_heap()
     config = _load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.reps is not None:
-        config = replace(config, repetitions=args.reps)
     out_dir = Path(args.out or config.output_dir or "results")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -152,8 +148,6 @@ def cli_main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a noise sweep from a JSON config")
     p_run.add_argument("--config", required=True, help="JSON config file")
     p_run.add_argument("--out", help="output directory (overrides config output_dir)")
-    p_run.add_argument("--seed", type=int, help="override the config seed")
-    p_run.add_argument("--reps", type=int, help="override the repetition count")
     p_run.add_argument(
         "--threads", type=int, help="accepted and ignored: cells run in order on one thread"
     )
@@ -163,7 +157,7 @@ def cli_main(argv=None) -> int:
     p_plot.add_argument("--csv", required=True, help="long-form sweep CSV")
     p_plot.add_argument("--metric", required=True, choices=METRIC_NAMES)
     p_plot.add_argument("--out", required=True, help="output SVG file")
-    p_plot.add_argument("--alpha", type=float, default=0.05, help="reference level for coverage plots")
+    p_plot.add_argument("--alpha", type=float, required=True, help="the run's alpha (in run_metadata.json)")
     p_plot.set_defaults(func=_cmd_plot)
 
     p_val = sub.add_parser("validate", help="parse a config and dry-run data loading")

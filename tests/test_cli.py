@@ -258,7 +258,7 @@ def test_non_utf8_input_file_is_named(tmp_path, capsys, command):
         path.write_bytes(b"experiment,phi,repetition,metric,class,value\n"
                          b"example1,0.0000,0,mean_coverage,,0.9\xff\n")
         argv = ["plot", "--csv", str(path), "--metric", "mean_coverage",
-                "--out", str(tmp_path / "plot.svg")]
+                "--out", str(tmp_path / "plot.svg"), "--alpha", "0.05"]
     assert cli_main(argv) == 1
     err = capsys.readouterr().err
     assert str(path) in err and "can't decode byte 0xff" in err
@@ -274,6 +274,20 @@ def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli_main(["run", "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,flags,optional", [
+    ("run", {"--config", "--out", "--threads"}, {"--out", "--threads"}),
+    ("plot", {"--csv", "--metric", "--out", "--alpha"}, set()),
+    ("validate", {"--config"}, set()),
+])
+def test_subcommand_flags(capsys, command, flags, optional):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]  # an optional flag stands in brackets
+    assert set(re.findall(r"--[a-z][a-z-]*", usage)) == flags
+    assert set(re.findall(r"\[(--[a-z][a-z-]*)", usage)) == optional
 
 
 def test_run_then_plot_pipeline(tmp_path, capsys):
@@ -292,7 +306,8 @@ def test_run_then_plot_pipeline(tmp_path, capsys):
 
     plot_path = tmp_path / "replot.svg"
     assert cli_main([
-        "plot", "--csv", str(csv_path), "--metric", "abstention_rate", "--out", str(plot_path)
+        "plot", "--csv", str(csv_path), "--metric", "abstention_rate", "--out", str(plot_path),
+        "--alpha", "0.05",
     ]) == 0
     assert ET.parse(plot_path).getroot().tag.endswith("svg")
     # a 1 - alpha reference line outside the chart is an error
@@ -305,15 +320,26 @@ def test_run_then_plot_pipeline(tmp_path, capsys):
     assert not bad_alpha.exists()
 
 
-def test_run_seed_override_changes_output(tmp_path):
-    cfg = _write_config(tmp_path, phi_grid=[0.0])
-    out1, out2, out3 = (tmp_path / d for d in ("a", "b", "c"))
-    assert cli_main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert cli_main(["run", "--config", str(cfg), "--out", str(out2), "--seed", "99"]) == 0
-    assert cli_main(["run", "--config", str(cfg), "--out", str(out3)]) == 0
-    base = (out1 / "sweep.csv").read_bytes()
-    assert base != (out2 / "sweep.csv").read_bytes()
-    assert base == (out3 / "sweep.csv").read_bytes()
+def test_replot_with_the_runs_alpha_matches_the_run(tmp_path):
+    cfg = _write_config(tmp_path, alpha=0.2)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    replot = tmp_path / "replot.svg"
+    assert cli_main(["plot", "--csv", str(out / "sweep.csv"), "--metric", "mean_coverage",
+                     "--out", str(replot), "--alpha", "0.2"]) == 0
+    assert replot.read_bytes() == (out / "mean_coverage.svg").read_bytes()
+    assert "target 0.80" in replot.read_text()
+
+
+def test_plot_needs_the_runs_alpha(tmp_path):
+    csv_path = tmp_path / "sweep.csv"
+    csv_path.write_text("experiment,phi,repetition,metric,class,value\n"
+                        "example1,0.0000,0,mean_coverage,,0.900000\n")
+    plot = tmp_path / "plot.svg"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(plot)])
+    assert exc.value.code == 2
+    assert not plot.exists()
 
 
 @pytest.mark.parametrize("cdll", [
@@ -373,14 +399,6 @@ def test_run_keeps_freed_level_arrays_in_the_heap(tmp_path):
         assert proc.returncode == 0, proc.stderr
         faults[path] = int(proc.stdout)
     assert 3 * faults["run"] < faults["run_sweep"], faults
-
-
-def test_run_reps_override(tmp_path):
-    cfg = _write_config(tmp_path, phi_grid=[0.0], forest={"n_trees": 2, "min_node_size": 120})
-    out = tmp_path / "out"
-    assert cli_main(["run", "--config", str(cfg), "--out", str(out), "--reps", "2"]) == 0
-    assert {row.repetition for row in bcops.read_csv(out / "sweep.csv")} == {0, 1}
-    assert json.loads((out / "run_metadata.json").read_text())["config"]["repetitions"] == 2
 
 
 def test_null_forest_fields_mean_their_defaults(tmp_path, capsys):
@@ -559,7 +577,8 @@ def test_plot_rejects_bad_csv_row(tmp_path, capsys, metric, value, message):
         f"example1,0.0000,0,{metric},,{value}\n"
     )
     out = tmp_path / "plot.svg"
-    argv = ["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(out)]
+    argv = ["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(out),
+            "--alpha", "0.05"]
     assert cli_main(argv) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -579,7 +598,8 @@ def test_plot_rejects_rows_of_several_experiments(tmp_path, capsys):
         bcops.read_csv(csv_path)
     assert str(err.value) == message
     out = tmp_path / "plot.svg"
-    argv = ["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(out)]
+    argv = ["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(out),
+            "--alpha", "0.05"]
     assert cli_main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
@@ -599,7 +619,8 @@ def test_plot_names_line_of_malformed_row(tmp_path, capsys, line, message):
         f"{line}\n"
     )
     out = tmp_path / "plot.svg"
-    argv = ["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(out)]
+    argv = ["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(out),
+            "--alpha", "0.05"]
     assert cli_main(argv) == 1
     assert f"{csv_path}, line 3: {message}" in capsys.readouterr().err
     assert not out.exists()
@@ -610,7 +631,8 @@ def test_plot_names_csv_without_rows(tmp_path, capsys):
     csv_path.write_text("experiment,phi,repetition,metric,class,value\n")
     assert bcops.read_csv(csv_path) == ()
     out = tmp_path / "plot.svg"
-    argv = ["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(out)]
+    argv = ["plot", "--csv", str(csv_path), "--metric", "mean_coverage", "--out", str(out),
+            "--alpha", "0.05"]
     assert cli_main(argv) == 1
     assert capsys.readouterr().err == f"error: {csv_path}: no rows to plot\n"
     assert not out.exists()
@@ -637,10 +659,6 @@ def test_seed_above_64_bits_fails_at_load(tmp_path, capsys, command):
     assert cli_main([command, "--config", str(cfg)] + out) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: seed must be < 2**64") and "sweep cell failed" not in err
-    if command == "run":
-        cfg = _write_config(tmp_path)
-        assert cli_main(["run", "--config", str(cfg), "--seed", str(2**64)] + out) == 1
-        assert capsys.readouterr().err.startswith("error: seed must be < 2**64")
     assert not (tmp_path / "out").exists()
 
 
